@@ -40,7 +40,7 @@ from .trainers import PairProposal, TrainConfig, TrainResult, sgd_step, sgd_trai
 
 _TIMING_COLUMNS = {
     "history.csv": ["seconds"],
-    "scaling.csv": ["seconds_per_batch", "cv_flag"],
+    "scaling.csv": ["seconds_per_batch", "cv", "cv_flag"],
 }
 
 
@@ -277,12 +277,12 @@ def run_scaling(
             times = []
             total = cfg["warmup_batches"] + cfg["timed_batches"]
             for t in range(total):
-                tick = time.perf_counter()
                 idx = int(
                     stream_rng(seed, DOMAIN_TRAIN_INSTANCE, t).integers(0, len(train))
                 )
                 x, y = train[idx]
                 rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, t, 0)
+                tick = time.perf_counter()
                 sgd_step(model, x, y, train_cfg, proposal, rng)
                 times.append(time.perf_counter() - tick)
             timed = np.array(times[cfg["warmup_batches"] :])
@@ -302,9 +302,9 @@ def run_scaling(
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(
             out / "scaling.csv",
-            ["method", "Y", "seconds_per_batch", "cv_flag"],
+            ["method", "Y", "seconds_per_batch", "cv", "cv_flag"],
             [
-                (r.method, r.n_labels, repr(r.seconds_per_batch), int(r.cv_flag))
+                (r.method, r.n_labels, repr(r.seconds_per_batch), repr(r.cv), int(r.cv_flag))
                 for r in rows
             ],
         )
@@ -635,6 +635,12 @@ class CheckResult:
     detail: str
 
 
+def _require(condition, message: str) -> None:
+    """Fail a selftest check; unlike ``assert`` this survives ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _check_scalar_closed_forms() -> str:
     from .losses import lc_value
 
@@ -647,7 +653,7 @@ def _check_scalar_closed_forms() -> str:
         (lc_value(log_spec, 0.0), float(1.0 + 2.0 * np.log(2.0))),
     ]
     worst = max(abs(got - want) for got, want in checks)
-    assert worst < 1e-12, f"closed-form mismatch {worst:.2e}"
+    _require(worst < 1e-12, f"closed-form mismatch {worst:.2e}")
     return f"max deviation {worst:.1e}"
 
 
@@ -667,8 +673,8 @@ def _check_smoothness() -> str:
             lam = (triples[:, 1] - triples[:, 0]) / (triples[:, 2] - triples[:, 0])
             mid = value(spec, triples[:, 1])
             chord = (1 - lam) * value(spec, triples[:, 0]) + lam * value(spec, triples[:, 2])
-            assert np.all(mid <= chord + 1e-12), "convexity violated"
-    assert worst < 1e-4, f"C1 finite-difference gap {worst:.2e}"
+            _require(np.all(mid <= chord + 1e-12), "convexity violated")
+    _require(worst < 1e-4, f"C1 finite-difference gap {worst:.2e}")
     return f"C1 gap {worst:.1e}"
 
 
@@ -683,17 +689,17 @@ def _check_transformation_bounds() -> str:
             loss = linear_core_margin_loss(LinearCoreSpec(base, side=side))
             slack = transformation_min_slack(loss, ts, 1.0)
             worst = min(worst, slack)
-            assert slack >= -1e-8, f"T(t) >= t violated by {slack:.2e} for {loss.name}"
-            assert transformation_T(loss, 0.0) <= 1e-9, "T(0) > 0"
+            _require(slack >= -1e-8, f"T(t) >= t violated by {slack:.2e} for {loss.name}")
+            _require(transformation_T(loss, 0.0) <= 1e-9, "T(0) > 0")
     exp_loss = linear_core_margin_loss(LinearCoreSpec(BaseLoss.exponential()))
     analytic = 1.0 + ts - np.sqrt(1.0 - ts**2)
     gap = float(np.max(np.abs(transformation_T(exp_loss, ts) - analytic)))
-    assert gap < 1e-8, f"analytic transformation mismatch {gap:.2e}"
+    _require(gap < 1e-8, f"analytic transformation mismatch {gap:.2e}")
     # Scaled cores keep the linear lower bound with constant tau.
     for tau in (0.1, 0.5, 1.0, 2.0, 5.0):
         loss = linear_core_margin_loss(LinearCoreSpec(BaseLoss.logistic(), tau=tau))
         slack = transformation_min_slack(loss, ts, tau)
-        assert slack >= -1e-8, f"T(t) >= {tau}*t violated by {slack:.2e}"
+        _require(slack >= -1e-8, f"T(t) >= {tau}*t violated by {slack:.2e}")
     return f"min slack {worst:.1e}, analytic gap {gap:.1e}"
 
 
@@ -720,7 +726,7 @@ def _check_restricted_infimum() -> str:
         numeric = minimize_convex(g, gp, np.full(a.shape, -1.0), np.full(a.shape, 1.0), expand=False)
         closed = np.array([restricted_pair_infimum(base, ai, bi)[0] for ai, bi in zip(a, b)])
         worst = max(worst, float(np.max(np.abs(numeric.value - closed))))
-    assert worst < 1e-9, f"restricted infimum mismatch {worst:.2e}"
+    _require(worst < 1e-9, f"restricted infimum mismatch {worst:.2e}")
     return f"max deviation {worst:.1e}"
 
 
@@ -737,7 +743,7 @@ def _check_multiclass_regret() -> str:
             spec = LinearCoreSpec(BaseLoss.logistic(), side=side)
             r01, rsur = mc_conditional_regrets(spec, p, scores)
             worst = min(worst, rsur - r01)
-            assert r01 <= rsur + 1e-8, f"pointwise consistency violated by {r01 - rsur:.2e}"
+            _require(r01 <= rsur + 1e-8, f"pointwise consistency violated by {r01 - rsur:.2e}")
     return f"min surplus {worst:.1e}"
 
 
@@ -755,7 +761,7 @@ def _check_structured_regret() -> str:
         np.fill_diagonal(ell, 0.0)
         rt, rs = structured_conditional_regrets(spec, p, scores, ell)
         worst = min(worst, rs - rt)
-        assert rt <= rs + 1e-8, f"structured consistency violated by {rt - rs:.2e}"
+        _require(rt <= rs + 1e-8, f"structured consistency violated by {rt - rs:.2e}")
     return f"min surplus {worst:.1e}"
 
 
@@ -774,9 +780,11 @@ def _check_inference_oracles() -> str:
         scores = all_sequence_scores(model, x, seqs)
         best, best_score = viterbi(model, x)
         worst = max(worst, abs(best_score - float(np.max(scores))))
-        assert np.array_equal(best, seqs[int(np.argmax(scores))]) or abs(
-            best_score - float(np.max(scores))
-        ) < 1e-10
+        _require(
+            np.array_equal(best, seqs[int(np.argmax(scores))])
+            or abs(best_score - float(np.max(scores))) < 1e-10,
+            "Viterbi decode disagrees with enumeration",
+        )
         y = seqs[int(rng.integers(0, len(seqs)))]
         _, aug_score = loss_augmented_viterbi(model, x, y)
         target = max(
@@ -786,7 +794,7 @@ def _check_inference_oracles() -> str:
         logz = forward_backward(model, x).log_partition
         brute = float(np.log(np.sum(np.exp(scores - scores.max()))) + scores.max())
         worst = max(worst, abs(logz - brute))
-    assert worst < 1e-8, f"inference oracle mismatch {worst:.2e}"
+    _require(worst < 1e-8, f"inference oracle mismatch {worst:.2e}")
     return f"max deviation {worst:.1e}"
 
 
@@ -803,7 +811,7 @@ def _check_pair_estimator_unbiased() -> str:
     expectation = exact_pair_estimator_expectation(model, x, y, spec, proposal)
     exact = structured_sum_loss_gradient_exact(spec, model, x, y)
     gap = float(np.max(np.abs(expectation - exact)))
-    assert gap < 1e-10, f"pair estimator biased by {gap:.2e}"
+    _require(gap < 1e-10, f"pair estimator biased by {gap:.2e}")
     return f"max gap {gap:.1e}"
 
 
@@ -816,7 +824,7 @@ def _check_rate_slopes() -> str:
         ("exponential", 0.45, 0.55),
     ]:
         slope = result.slopes[name]
-        assert lo <= slope <= hi, f"{name} slope {slope:.4f} outside [{lo}, {hi}]"
+        _require(lo <= slope <= hi, f"{name} slope {slope:.4f} outside [{lo}, {hi}]")
     return ", ".join(f"{k}={v:.3f}" for k, v in sorted(result.slopes.items()))
 
 
@@ -826,7 +834,7 @@ def _check_determinism() -> str:
     a = generate_hmm_data(HmmSpec(length=5, n_labels=3, dim=4, n_sequences=6, seed=9))
     b = generate_hmm_data(HmmSpec(length=5, n_labels=3, dim=4, n_sequences=6, seed=9))
     for (xa, ya), (xb, yb) in zip(a.train, b.train):
-        assert np.array_equal(xa, xb) and np.array_equal(ya, yb), "data not deterministic"
+        _require(np.array_equal(xa, xb) and np.array_equal(ya, yb), "data not deterministic")
     cfg = dict(TRAIN_SEQ_DEFAULTS, iterations=200, eval_interval=50, n_train=20, n_test=5, dim=6)
     h1 = run_train_seq(cfg, seed=3).result.history
     h2 = run_train_seq(cfg, seed=3).result.history
@@ -836,7 +844,7 @@ def _check_determinism() -> str:
         and r1.test_error == r2.test_error
         for r1, r2 in zip(h1, h2)
     )
-    assert same and len(h1) == len(h2), "training history not deterministic"
+    _require(same and len(h1) == len(h2), "training history not deterministic")
     return f"{len(h1)} identical history rows"
 
 

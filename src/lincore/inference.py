@@ -1,12 +1,26 @@
 """Exact dynamic programming for the chain baselines.
 
-Viterbi and forward-backward both run in O(L * Y^2).  All partition
-computations are done in log space with max-shifted log-sum-exp so random
-potentials at Y = 400 cannot overflow.  Ties in any maximization break
-toward the lower label index, which makes decoded sequences reproducible
-and lets enumeration oracles predict them exactly: backtracking with
-first-argmax predecessors returns the optimal sequence that is
-lexicographically smallest when read from the last position backwards.
+Viterbi and forward-backward both run in O(L * Y^2).  Ties in any
+maximization break toward the lower label index, which makes decoded
+sequences reproducible and lets enumeration oracles predict them exactly:
+backtracking with first-argmax predecessors returns the optimal sequence
+that is lexicographically smallest when read from the last position
+backwards.
+
+Forward-backward runs in probability space with per-position scaling
+(Rabiner 1989).  With ``E = exp(T - max T)`` and ``psi_j = exp(U_j - max
+U_j)``, the forward messages ``alpha_j`` are normalized to sum to one by
+factors ``c_j``, the backward messages ``beta_j`` are divided by the same
+factors, and ``log Z`` is ``sum_j log c_j`` plus the shifts.  Each step is
+a BLAS matrix-vector product; the only exponentials are the ``Y^2``
+entries of ``E`` and the ``L * Y`` entries of ``psi``.  Let ``R = ptp(T) +
+max_j ptp(U_j)`` be the potential range in nats.  Every ``alpha_j`` entry
+is then at least ``exp(-R) / Y``, every ``beta_j`` entry lies in
+``[exp(-ptp T), Y exp(R)]`` because ``sum_a alpha_j beta_j = 1``, and every
+``c_j`` lies in ``[exp(-ptp T), Y]``.  While ``R`` stays below 600 nats
+nothing can leave the normal float64 range.  Beyond it the potentials fall
+back to the max-shifted log-sum-exp recursion, which cannot overflow at
+any scale but pays an ``exp`` per edge.
 """
 
 from __future__ import annotations
@@ -15,7 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured import ChainModel, _check_instance, joint_feature, sequence_score
+from .structured import (
+    ChainModel,
+    _check_instance,
+    feature_difference,
+    joint_feature,
+    sequence_score,
+)
+
+# Potential range (nats) up to which the scaled recursion stays inside the
+# normal float64 range: exp(-600) / Y is normal for any Y below 1e40.
+_SCALED_RANGE_LIMIT = 600.0
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -29,18 +53,21 @@ def _unary_table(model: ChainModel, x: np.ndarray) -> np.ndarray:
 
 def _viterbi_tables(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, float]:
     length, n = unary.shape
-    back = np.zeros((length, n), dtype=np.int64)
+    cand = np.empty_like(transition)  # (from, to)
+    cols = np.arange(n)
+    back = np.empty((length, n), dtype=np.int64)
     dp = unary[0].copy()
     for j in range(1, length):
-        cand = dp[:, None] + transition  # (from, to)
-        back[j] = np.argmax(cand, axis=0)
-        dp = cand[back[j], np.arange(n)] + unary[j]
-    last = int(np.argmax(dp))
+        np.add(dp[:, None], transition, out=cand)
+        pred = back[j]
+        cand.argmax(axis=0, out=pred)
+        dp = cand[pred, cols]
+        dp += unary[j]
     best = np.empty(length, dtype=np.int64)
-    best[-1] = last
+    best[-1] = dp.argmax()
     for j in range(length - 1, 0, -1):
         best[j - 1] = back[j, best[j]]
-    return best, float(dp[last])
+    return best, float(dp[best[-1]])
 
 
 def viterbi(model: ChainModel, x) -> tuple[np.ndarray, float]:
@@ -71,12 +98,55 @@ class Marginals:
     log_partition: float
 
 
-def forward_backward(model: ChainModel, x) -> Marginals:
-    x, _ = _check_instance(model, x)
-    unary = _unary_table(model, x)
-    length, n = unary.shape
-    transition = model.transition
+@dataclass(frozen=True)
+class _ScaledChain:
+    """Scaled forward-backward quantities; edge posteriors are
+    ``alpha[j, a] * kernel[a, b] * edge_weights[j, b]``."""
 
+    alpha: np.ndarray  # (L, Y), rows sum to one
+    beta: np.ndarray  # (L, Y), sum(alpha[j] * beta[j]) == 1
+    kernel: np.ndarray  # (Y, Y), exp(T - max T)
+    edge_weights: np.ndarray  # (L-1, Y), psi[j+1] * beta[j+1] / c[j+1]
+    log_partition: float
+
+
+def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _ScaledChain | None:
+    """Scaled recursion, or ``None`` when the potential range ``R`` is too
+    wide for it (or not a number)."""
+    length, n = unary.shape
+    t_shift = transition.max()
+    u_shift = unary.max(axis=1)
+    spread = (t_shift - transition.min()) + (u_shift - unary.min(axis=1)).max()
+    if not spread <= _SCALED_RANGE_LIMIT:
+        return None
+    kernel = np.exp(transition - t_shift)
+    psi = np.exp(unary - u_shift[:, None])
+
+    alpha = np.empty((length, n))
+    scale = np.empty(length)
+    alpha[0] = psi[0]
+    for j in range(length):
+        message = alpha[j]
+        if j:
+            np.dot(alpha[j - 1], kernel, out=message)
+            message *= psi[j]
+        scale[j] = message.sum()
+        message /= scale[j]
+
+    edge_weights = psi[1:] / scale[1:, None]
+    beta = np.empty((length, n))
+    beta[-1] = 1.0
+    for j in range(length - 2, -1, -1):
+        weights = edge_weights[j]
+        weights *= beta[j + 1]
+        np.dot(kernel, weights, out=beta[j])
+    log_partition = float(np.log(scale).sum() + u_shift.sum() + (length - 1) * t_shift)
+    return _ScaledChain(alpha, beta, kernel, edge_weights, log_partition)
+
+
+def _log_space_forward_backward(unary: np.ndarray, transition: np.ndarray) -> Marginals:
+    """Max-shifted log-sum-exp recursion for potentials beyond the scaled range."""
+    length, n = unary.shape
     alpha = np.empty((length, n))
     alpha[0] = unary[0]
     for j in range(1, length):
@@ -100,21 +170,48 @@ def forward_backward(model: ChainModel, x) -> Marginals:
     return Marginals(unary_marginals, transition_marginals, log_partition)
 
 
+def forward_backward(model: ChainModel, x) -> Marginals:
+    x, _ = _check_instance(model, x)
+    unary = _unary_table(model, x)
+    chain = _scaled_forward_backward(unary, model.transition)
+    if chain is None:
+        return _log_space_forward_backward(unary, model.transition)
+    edges = chain.alpha[:-1, :, None] * chain.kernel
+    edges *= chain.edge_weights[:, None, :]
+    return Marginals(chain.alpha * chain.beta, edges, chain.log_partition)
+
+
 def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of ``y`` and its exact flat-weight gradient.
 
     The gradient is the expected joint feature under the model posterior
-    minus the observed joint feature.
+    minus the observed joint feature.  The expected transition counts
+    ``sum_j alpha_j[a] E[a, b] W_j[b]``, with ``W_j = psi_{j+1}
+    beta_{j+1} / c_{j+1}``, come from one matrix product, so the per-edge
+    posterior tensor is never formed.
     """
     x, y = _check_instance(model, x, y)
-    marg = forward_backward(model, x)
-    nll = marg.log_partition - sequence_score(model, x, y)
+    unary = _unary_table(model, x)
+    chain = _scaled_forward_backward(unary, model.transition)
+    if chain is None:
+        marg = _log_space_forward_backward(unary, model.transition)
+        log_partition, unary_marginals = marg.log_partition, marg.unary_marginals
+        expected_transition = marg.transition_marginals.sum(axis=0)
+    else:
+        log_partition, unary_marginals = chain.log_partition, chain.alpha * chain.beta
+        expected_transition = chain.kernel * (chain.alpha[:-1].T @ chain.edge_weights)
+    nll = log_partition - sequence_score(model, x, y)
 
-    expected_unary = marg.unary_marginals.T @ x  # (Y, d)
-    expected_transition = marg.transition_marginals.sum(axis=0)
+    expected_unary = unary_marginals.T @ x  # (Y, d)
     expected = np.concatenate([expected_unary.ravel(), expected_transition.ravel()])
     observed = joint_feature(model.n_labels, x, y)
     return float(nll), expected - observed
+
+
+def hinge_violation(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
+    """Structured hinge violation of ``y`` and its loss-augmented competitor."""
+    competitor, augmented = loss_augmented_viterbi(model, x, y)
+    return augmented - sequence_score(model, x, y), competitor
 
 
 def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
@@ -125,11 +222,8 @@ def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple[float, np.ndarra
     branch is chosen, so the subgradient is zero there.
     """
     x, y = _check_instance(model, x, y)
-    competitor, augmented = loss_augmented_viterbi(model, x, y)
-    violation = augmented - sequence_score(model, x, y)
+    violation, competitor = hinge_violation(model, x, y)
     dim = model.n_labels * model.dim + model.n_labels**2
     if violation <= 0.0:
         return float(max(violation, 0.0)), np.zeros(dim)
-    n = model.n_labels
-    subgrad = joint_feature(n, x, competitor) - joint_feature(n, x, y)
-    return float(violation), subgrad
+    return float(violation), feature_difference(model.n_labels, x, competitor, y).dense()

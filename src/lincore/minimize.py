@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketSearchError
+from .errors import BracketSearchError, DomainError
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 
@@ -62,7 +62,7 @@ def minimize_convex(
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     lo, hi = (arr.copy() for arr in np.broadcast_arrays(lo, hi))
     if np.any(hi <= lo):
-        raise ValueError("need lo < hi for every problem")
+        raise DomainError("need lo < hi for every problem")
 
     f_lo = value(lo)
     f_hi = value(hi)

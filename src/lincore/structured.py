@@ -94,14 +94,14 @@ def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarra
         raise DomainError("inputs must be a (length, dim) matrix with length >= 1")
     if x.shape[1] != model.dim:
         raise DomainError(f"input dim {x.shape[1]} does not match model dim {model.dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("inputs must be finite")
     if y is None:
         return x, None
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (x.shape[0],):
         raise DomainError("label sequence length must match the input length")
-    if np.any(y < 0) or np.any(y >= model.n_labels):
+    if y.min() < 0 or y.max() >= model.n_labels:
         raise DomainError("label out of range")
     return x, y
 
@@ -136,6 +136,86 @@ def joint_feature(n_labels: int, x, y) -> np.ndarray:
     if y.size > 1:
         np.add.at(transition, (y[:-1], y[1:]), 1.0)
     return np.concatenate([unary.ravel(), transition.ravel()])
+
+
+# Up to this many labels per label slot the sequences fill, a feature
+# delta keeps every label: the dense block is then at most 9 times the
+# compact one, and filling it costs less than sorting out the touched
+# labels (measured at L = 20, d = 20 for Y = 50 to 400).
+_COMPACT_LABEL_RATIO = 3
+
+
+def _touched(n_labels: int, *sequences: np.ndarray) -> tuple:
+    """Labels the sequences use, their count, and each sequence's
+    positions among them.
+
+    Short sequences over a small label set keep every label
+    (``slice(None)``), which skips the sort.
+    """
+    if _COMPACT_LABEL_RATIO * sum(seq.size for seq in sequences) >= n_labels:
+        return slice(None), n_labels, list(sequences)
+    labels = np.unique(np.concatenate([seq.ravel() for seq in sequences]))
+    return labels, labels.size, [np.searchsorted(labels, seq) for seq in sequences]
+
+
+@dataclass(frozen=True)
+class FeatureDelta:
+    """A flat-layout feature vector stored on the labels it touches.
+
+    ``unary[i]`` is the unary row of label ``labels[i]`` and
+    ``transition[i, k]`` the transition cell ``(labels[i], labels[k])``;
+    every other entry is zero.  Each stored entry holds exactly the value
+    the dense ``np.add.at`` accumulation would hold, so densifying or
+    applying it is bitwise identical to working with the dense vector, at
+    a cost set by the touched labels instead of ``n_labels``.
+    """
+
+    n_labels: int
+    labels: np.ndarray | slice
+    unary: np.ndarray
+    transition: np.ndarray
+
+    def _block(self) -> tuple:
+        if isinstance(self.labels, slice):
+            return self.labels, self.labels
+        return np.ix_(self.labels, self.labels)
+
+    def dense(self) -> np.ndarray:
+        n = self.n_labels
+        unary = np.zeros((n, self.unary.shape[1]))
+        unary[self.labels] = self.unary
+        transition = np.zeros((n, n))
+        transition[self._block()] = self.transition
+        return np.concatenate([unary.ravel(), transition.ravel()])
+
+    def subtract_from(self, model: "ChainModel", step: float) -> None:
+        """In-place ``weights -= step * delta`` on the touched entries only."""
+        model.unary[self.labels] -= step * self.unary
+        model.transition[self._block()] -= step * self.transition
+
+
+def feature_difference(n_labels: int, x, plus, minus) -> FeatureDelta:
+    """``joint_feature(plus) - joint_feature(minus)`` as a :class:`FeatureDelta`.
+
+    Each sequence's features are summed in :func:`joint_feature`'s order
+    before the subtraction, so the dense form matches the difference of
+    the two dense features bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    labels, size, (plus, minus) = _touched(
+        n_labels, np.asarray(plus, dtype=np.int64), np.asarray(minus, dtype=np.int64)
+    )
+    unary_plus = np.zeros((size, x.shape[1]))
+    unary_minus = np.zeros_like(unary_plus)
+    np.add.at(unary_plus, plus, x)
+    np.add.at(unary_minus, minus, x)
+    transition_plus = np.zeros((size, size))
+    transition_minus = np.zeros_like(transition_plus)
+    np.add.at(transition_plus, (plus[:-1], plus[1:]), 1.0)
+    np.add.at(transition_minus, (minus[:-1], minus[1:]), 1.0)
+    return FeatureDelta(
+        n_labels, labels, unary_plus - unary_minus, transition_plus - transition_minus
+    )
 
 
 def enumerate_sequences(n_labels: int, length: int, limit: int = ENUMERATION_LIMIT) -> np.ndarray:

@@ -34,14 +34,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnumerationLimitError, TrainingDivergedError
-from .inference import crf_nll_and_gradient, ssvm_loss_and_subgradient, viterbi
+from .inference import crf_nll_and_gradient, hinge_violation, ssvm_loss_and_subgradient, viterbi
 from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, lc_derivative
 from .rng import DOMAIN_DIAGNOSTIC, DOMAIN_TRAIN_INSTANCE, DOMAIN_TRAIN_SAMPLE, stream_rng
 from .structured import (
     ChainModel,
     ENUMERATION_LIMIT,
+    FeatureDelta,
+    _check_instance,
+    _touched,
     all_sequence_scores,
     enumerate_sequences,
+    feature_difference,
     hamming_loss,
     joint_feature,
     structured_sum_loss_exact,
@@ -221,6 +225,17 @@ def lc_ksample_gradient_estimate(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Average of ``n_negatives`` uniform-competitor margin gradients."""
+    return _ksample_delta(model, x, y_star, spec, n_negatives, rng).dense()
+
+
+def _ksample_delta(
+    model: ChainModel,
+    x,
+    y_star,
+    spec: LinearCoreSpec,
+    n_negatives: int,
+    rng: np.random.Generator,
+) -> FeatureDelta:
     if n_negatives < 1:
         raise DomainError("need at least one negative sample")
     x = np.asarray(x, dtype=np.float64)
@@ -240,17 +255,17 @@ def _accumulate_ksample(
     y_star: np.ndarray,
     negatives: np.ndarray,
     coeffs: np.ndarray,
-) -> np.ndarray:
-    """sum_k c_k * (feature(y*) - feature(y_k)) in flat layout."""
-    n, dim = model.n_labels, model.dim
+) -> FeatureDelta:
+    """sum_k c_k * (feature(y*) - feature(y_k)) on the labels it touches."""
+    n = model.n_labels
     length = y_star.size
     total = float(np.sum(coeffs))
-    unary = np.zeros((n, dim))
+    labels, size, (y_star, negatives) = _touched(n, y_star, negatives)
+    unary = np.zeros((size, model.dim))
     np.add.at(unary, y_star, total * x)
-    flat_labels = negatives.ravel()
     weighted_x = np.repeat(coeffs, length)[:, None] * np.tile(x, (negatives.shape[0], 1))
-    np.add.at(unary, flat_labels, -weighted_x)
-    transition = np.zeros((n, n))
+    np.add.at(unary, negatives.ravel(), -weighted_x)
+    transition = np.zeros((size, size))
     if length > 1:
         np.add.at(transition, (y_star[:-1], y_star[1:]), total)
         np.add.at(
@@ -258,7 +273,7 @@ def _accumulate_ksample(
             (negatives[:, :-1].ravel(), negatives[:, 1:].ravel()),
             -np.repeat(coeffs, length - 1),
         )
-    return np.concatenate([unary.ravel(), transition.ravel()])
+    return FeatureDelta(n, labels, unary, transition)
 
 
 def uniform_negative_gradient_exact(
@@ -272,7 +287,7 @@ def uniform_negative_gradient_exact(
     scores = all_sequence_scores(model, x, seqs)
     s_star = _score(model, x, y_star)
     coeffs = lc_derivative(spec, s_star - scores) / len(seqs)
-    return _accumulate_ksample(model, x, y_star, seqs, coeffs)
+    return _accumulate_ksample(model, x, y_star, seqs, coeffs).dense()
 
 
 def empirical_gradient_variance(
@@ -428,11 +443,15 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     if not data.train:
         raise DomainError("training set is empty")
     x0 = np.asarray(data.train[0][0], dtype=np.float64)
+    if x0.ndim != 2:
+        raise DomainError("inputs must be (length, dim) matrices")
     n_labels = data.label_count()
     model = ChainModel.zeros(n_labels, x0.shape[1])
-    train = [
-        (np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)) for x, y in data.train
-    ]
+    # Check every instance before the first step: the pair samplers index
+    # weights by label directly, so a label such as -1 would wrap silently.
+    train = [_check_instance(model, x, y) for x, y in data.train]
+    for x, y in data.test:
+        _check_instance(model, x, y)
     proposal = PairProposal(config.corruption_rate, config.inner_proposal)
     eval_instances = train[: config.eval_max_instances]
 
@@ -488,6 +507,8 @@ def sgd_step(
     This is the unit the scaling benchmark times.  The pair-sampling update
     touches O(length * dim) numbers regardless of the label-set size; the
     exact-inference updates pay their O(length * labels^2) dynamic program.
+    The hinge and K-negative updates write only the labels and transition
+    cells their sequences use, with the same values a dense update would.
     """
     unary, transition = model.unary, model.transition
     n_labels = model.n_labels
@@ -512,10 +533,15 @@ def sgd_step(
         _apply_pair_update(unary, transition, x, y_outer, y_inner, step * coeff)
         return
     if config.objective == "lincore_ksample":
-        grad = lc_ksample_gradient_estimate(model, x, y, config.spec, config.n_negatives, rng)
+        delta = _ksample_delta(model, x, y, config.spec, config.n_negatives, rng)
     elif config.objective == "ssvm":
-        grad = ssvm_loss_and_subgradient(model, x, y)[1]
+        violation, competitor = hinge_violation(model, x, y)
+        if violation <= 0.0:
+            return
+        delta = feature_difference(n_labels, x, competitor, y)
     else:
         grad = crf_nll_and_gradient(model, x, y)[1]
-    unary -= step * grad[: unary.size].reshape(unary.shape)
-    transition -= step * grad[unary.size :].reshape(transition.shape)
+        unary -= step * grad[: unary.size].reshape(unary.shape)
+        transition -= step * grad[unary.size :].reshape(transition.shape)
+        return
+    delta.subtract_from(model, step)

@@ -511,7 +511,7 @@ def test_criterion_15_determinism(tmp_path):
     assert _rows_without(runs["a"] / "train/history.csv", {"seconds"}) == _rows_without(
         runs["b"] / "train/history.csv", {"seconds"}
     )
-    drop = {"seconds_per_batch", "cv_flag"}
+    drop = {"seconds_per_batch", "cv", "cv_flag"}
     assert _rows_without(runs["a"] / "scaling/scaling.csv", drop) == _rows_without(
         runs["b"] / "scaling/scaling.csv", drop
     )

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,12 +157,19 @@ class TestScalingDriver:
         result = run_scaling(TINY_SCALING, seed=0, out_dir=tmp_path)
         assert len(result.rows) == 2 * 3
         rows = read_csv(tmp_path / "scaling.csv")
-        assert rows[0] == ["method", "Y", "seconds_per_batch", "cv_flag"]
+        assert rows[0] == ["method", "Y", "seconds_per_batch", "cv", "cv_flag"]
         assert len(rows) == 7
         methods = {r[0] for r in rows[1:]}
         assert methods == {"ssvm", "crf", "lincore"}
         for row in result.rows:
             assert row.seconds_per_batch > 0
+        for row, written in zip(result.rows, rows[1:]):
+            assert float(written[3]) == row.cv
+            assert int(written[4]) == int(row.cv_flag)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["nondeterministic_columns"] == {
+            "scaling.csv": ["seconds_per_batch", "cv", "cv_flag"]
+        }
 
     def test_non_timing_columns_deterministic(self, tmp_path):
         run_scaling(TINY_SCALING, seed=4, out_dir=tmp_path / "a")
@@ -167,3 +177,26 @@ class TestScalingDriver:
         rows_a = read_csv(tmp_path / "a/scaling.csv")
         rows_b = read_csv(tmp_path / "b/scaling.csv")
         assert [r[:2] for r in rows_a] == [r[:2] for r in rows_b]
+
+
+def test_selftest_checks_fail_under_optimized_python():
+    """``python -O`` strips asserts; a failing check must still fail there."""
+    script = (
+        "import lincore.experiments as ex\n"
+        "class Bad:\n"
+        "    slopes = dict.fromkeys(['lc_logistic', 'lc_exponential', 'logistic', 'exponential'], 0.5)\n"
+        "ex.run_rates = lambda *args, **kwargs: Bad()\n"
+        "try:\n"
+        "    ex._check_rate_slopes()\n"
+        "except AssertionError as exc:\n"
+        "    print('failed:', exc)\n"
+        "else:\n"
+        "    print('passed vacuously')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("failed: lc_logistic slope 0.5000"), done.stdout

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincore import (
     ChainModel,
@@ -17,6 +19,7 @@ from lincore import (
     viterbi,
     weights_to_model,
 )
+from lincore import inference
 from lincore.structured import all_sequence_scores, enumerate_sequences
 
 
@@ -296,3 +299,132 @@ def test_forward_backward_marginals_match_enumeration():
                     assert marg.transition_marginals[j, a, b] == pytest.approx(
                         expected, abs=1e-10
                     )
+
+
+
+def _allocating_viterbi(unary, transition):
+    """Reference recursion with fresh temporaries per step."""
+    length, n = unary.shape
+    back = np.zeros((length, n), dtype=np.int64)
+    dp = unary[0].copy()
+    for j in range(1, length):
+        cand = dp[:, None] + transition  # (from, to)
+        back[j] = np.argmax(cand, axis=0)
+        dp = cand[back[j], np.arange(n)] + unary[j]
+    last = int(np.argmax(dp))
+    best = np.empty(length, dtype=np.int64)
+    best[-1] = last
+    for j in range(length - 1, 0, -1):
+        best[j - 1] = back[j, best[j]]
+    return best, float(dp[last])
+
+
+def test_viterbi_decodes_bitwise_equal_to_allocating_reference():
+    """Reusing buffers changes no addition and no tie-break."""
+    rng = np.random.default_rng(13)
+    for trial in range(200):
+        n = int(rng.integers(2, 60))
+        length = int(rng.integers(1, 12))
+        if trial % 2:
+            model = ChainModel(
+                rng.integers(-1, 2, size=(n, 2)).astype(float),
+                rng.integers(-1, 2, size=(n, n)).astype(float),
+            )
+            x = rng.integers(-1, 2, size=(length, 2)).astype(float)
+        else:
+            model = ChainModel(rng.normal(size=(n, 2)), rng.normal(size=(n, n)))
+            x = rng.normal(size=(length, 2))
+        y = rng.integers(0, n, size=length)
+        unary = x @ model.unary.T
+        augmented = unary + 1.0 / length
+        augmented[np.arange(length), y] -= 1.0 / length
+        for (got_seq, got), (want_seq, want) in (
+            (viterbi(model, x), _allocating_viterbi(unary, model.transition)),
+            (loss_augmented_viterbi(model, x, y), _allocating_viterbi(augmented, model.transition)),
+        ):
+            np.testing.assert_array_equal(got_seq, want_seq)
+            assert got == want and np.signbit(got) == np.signbit(want)
+
+def _enumerated_posteriors(model, x):
+    n, length = model.n_labels, x.shape[0]
+    seqs = enumerate_sequences(n, length)
+    scores = all_sequence_scores(model, x, seqs)
+    top = float(scores.max())
+    logz = float(np.log(np.sum(np.exp(scores - top))) + top)
+    probs = np.exp(scores - logz)
+    unary = np.zeros((length, n))
+    edges = np.zeros((max(length - 1, 0), n, n))
+    for j in range(length):
+        np.add.at(unary[j], seqs[:, j], probs)
+    for j in range(length - 1):
+        np.add.at(edges[j], (seqs[:, j], seqs[:, j + 1]), probs)
+    return logz, unary, edges
+
+
+def _assert_matches_enumeration(model, x):
+    logz, unary, edges = _enumerated_posteriors(model, x)
+    marg = forward_backward(model, x)
+    assert marg.log_partition == pytest.approx(logz, abs=1e-8)
+    np.testing.assert_allclose(marg.unary_marginals, unary, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(marg.transition_marginals, edges, rtol=0, atol=1e-10)
+
+
+@given(
+    n=st.integers(2, 5),
+    length=st.integers(1, 5),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_forward_backward_matches_enumeration_at_any_scale(n, length, scale, seed):
+    """Scaled and fallback recursions both reproduce the enumerated posterior."""
+    rng = np.random.default_rng(seed)
+    model = ChainModel(scale * rng.normal(size=(n, 2)), scale * rng.normal(size=(n, n)))
+    _assert_matches_enumeration(model, rng.normal(size=(length, 2)))
+
+
+def _potential_range(unary, transition):
+    """Nats the scaled recursion must span: ptp(T) + max_j ptp(U_j)."""
+    return float(np.ptp(transition) + np.max(np.ptp(unary, axis=1)))
+
+
+def test_wide_potential_range_takes_the_log_space_fallback(monkeypatch):
+    calls = []
+    fallback = inference._log_space_forward_backward
+
+    def spy(unary, transition):
+        calls.append(_potential_range(unary, transition))
+        return fallback(unary, transition)
+
+    monkeypatch.setattr(inference, "_log_space_forward_backward", spy)
+    rng = np.random.default_rng(14)
+    model = ChainModel(300.0 * rng.normal(size=(3, 2)), 800.0 * rng.normal(size=(3, 3)))
+    x = rng.normal(size=(4, 2))
+    _assert_matches_enumeration(model, x)
+    assert len(calls) == 1 and calls[0] > 1000.0
+    nll, grad = crf_nll_and_gradient(model, x, np.array([0, 1, 2, 0]))
+    assert len(calls) == 2
+    assert np.isfinite(nll) and np.all(np.isfinite(grad))
+
+
+def test_scaled_and_log_space_recursions_agree():
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        n, length = 50, int(rng.integers(1, 21))
+        model = ChainModel(rng.normal(size=(n, 4)), rng.normal(size=(n, n)))
+        x = rng.normal(size=(length, 4))
+        y = rng.integers(0, n, size=length)
+        unary = x @ model.unary.T
+        assert _potential_range(unary, model.transition) < inference._SCALED_RANGE_LIMIT
+        scaled = forward_backward(model, x)
+        exact = inference._log_space_forward_backward(unary, model.transition)
+        assert scaled.log_partition == pytest.approx(exact.log_partition, abs=1e-10)
+        np.testing.assert_allclose(scaled.unary_marginals, exact.unary_marginals, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            scaled.transition_marginals, exact.transition_marginals, rtol=0, atol=1e-10
+        )
+        _, grad = crf_nll_and_gradient(model, x, y)
+        expected = np.concatenate(
+            [(exact.unary_marginals.T @ x).ravel(), exact.transition_marginals.sum(axis=0).ravel()]
+        )
+        np.testing.assert_allclose(grad, expected - joint_feature(n, x, y), rtol=0, atol=1e-10)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lincore import BracketSearchError
+from lincore import BracketSearchError, DomainError
 from lincore.minimize import minimize_convex
 
 
@@ -99,3 +99,8 @@ def test_flat_core_objective():
     res = minimize_convex(f, fp, np.array([-9.0]), np.array([9.0]))
     assert res.value[0] == pytest.approx(2.0, abs=1e-12)
     assert abs(res.argmin[0]) <= 1.0 + 1e-6
+
+
+def test_empty_bracket_raises_domain_error():
+    with pytest.raises(DomainError, match="lo < hi"):
+        minimize_convex(np.abs, np.sign, np.array([1.0, 0.0]), np.array([2.0, 0.0]))

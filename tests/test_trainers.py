@@ -21,19 +21,23 @@ from lincore import (
     lc_derivative,
     lc_ksample_gradient_estimate,
     lc_pair_gradient_estimate,
+    loss_augmented_viterbi,
     model_weights,
     sequence_score,
     sgd_train,
+    ssvm_loss_and_subgradient,
     structured_sum_loss_gradient_exact,
     uniform_negative_gradient_exact,
 )
-from lincore.rng import DOMAIN_DIAGNOSTIC, stream_rng
+from lincore import trainers
+from lincore.rng import DOMAIN_DIAGNOSTIC, DOMAIN_TRAIN_SAMPLE, stream_rng
 from lincore.structured import all_sequence_scores, enumerate_sequences
 from lincore.trainers import (
     NEIGHBOR,
     UNIFORM_FULL,
     corruption_probability,
     neighbor_probability,
+    sgd_step,
     sample_corruption,
     sample_neighbor,
     sample_uniform_full,
@@ -339,3 +343,99 @@ def test_stream_rng_is_stable():
     c = stream_rng(42, DOMAIN_DIAGNOSTIC, 3, 2).integers(0, 1000, size=5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _dense_reference_step(model, x, y, config, rng):
+    """Dense ``w -= eta * g`` with the gradient accumulated over all labels."""
+    n, length = model.n_labels, y.size
+    if config.objective == "ssvm":
+        competitor, augmented = loss_augmented_viterbi(model, x, y)
+        if augmented - sequence_score(model, x, y) <= 0.0:
+            grad = np.zeros(n * model.dim + n * n)
+        else:
+            grad = joint_feature(n, x, competitor) - joint_feature(n, x, y)
+    else:
+        k = config.n_negatives
+        negatives = rng.integers(0, n, size=(k, length))
+        scores = all_sequence_scores(model, x, negatives)
+        coeffs = lc_derivative(config.spec, sequence_score(model, x, y) - scores) / k
+        total = float(np.sum(coeffs))
+        unary = np.zeros((n, model.dim))
+        np.add.at(unary, y, total * x)
+        np.add.at(unary, negatives.ravel(), -(np.repeat(coeffs, length)[:, None] * np.tile(x, (k, 1))))
+        transition = np.zeros((n, n))
+        np.add.at(transition, (y[:-1], y[1:]), total)
+        np.add.at(
+            transition,
+            (negatives[:, :-1].ravel(), negatives[:, 1:].ravel()),
+            -np.repeat(coeffs, length - 1),
+        )
+        grad = np.concatenate([unary.ravel(), transition.ravel()])
+    u, t = model.unary, model.transition
+    u -= config.eta * grad[: u.size].reshape(u.shape)
+    t -= config.eta * grad[u.size :].reshape(t.shape)
+    return grad
+
+
+@pytest.mark.parametrize("objective", ["ssvm", "lincore_ksample"])
+@pytest.mark.parametrize("n_labels", [3, 150])
+def test_sparse_updates_match_dense_reference_bitwise(objective, n_labels):
+    """Writing only touched labels leaves weights identical to a dense update.
+
+    At 150 labels the length-6 sequences touch few enough labels that the
+    update runs on the compact label block; at 3 it keeps every label.
+    """
+    data = tiny_data(seed=3, n_train=20, length=6, n_labels=n_labels, dim=4)
+    config = TrainConfig(eta=0.05, objective=objective)
+    proposal = PairProposal(config.corruption_rate)
+    sparse = ChainModel.zeros(n_labels, 4)
+    dense = ChainModel.zeros(n_labels, 4)
+    for t in range(300):
+        x, y = data.train[t % len(data.train)]
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+        if objective == "lincore_ksample":
+            public = lc_ksample_gradient_estimate(
+                dense, x, y, config.spec, config.n_negatives, stream_rng(5, DOMAIN_TRAIN_SAMPLE, t)
+            )
+        else:
+            public = ssvm_loss_and_subgradient(dense, x, y)[1]
+        sgd_step(sparse, x, y, config, proposal, stream_rng(5, DOMAIN_TRAIN_SAMPLE, t))
+        grad = _dense_reference_step(dense, x, y, config, stream_rng(5, DOMAIN_TRAIN_SAMPLE, t))
+        assert np.array_equal(public, grad)
+    assert np.array_equal(sparse.unary, dense.unary)
+    assert np.array_equal(sparse.transition, dense.transition)
+    assert np.any(model_weights(sparse) != 0.0)
+
+
+def _bad_instance(kind, n_labels=3):
+    x = np.zeros((3, 2))
+    y = np.array([0, 1, 2])
+    if kind == "negative_label":
+        y = np.array([0, -1, 2])
+    elif kind == "label_too_large":
+        y = np.array([0, n_labels, 2])
+    elif kind == "length_mismatch":
+        y = np.array([0, 1])
+    elif kind == "dim_mismatch":
+        x = np.zeros((3, 5))
+    else:
+        x = np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]])
+    return x, y
+
+
+@pytest.mark.parametrize("objective", ["lincore", "lincore_ksample", "ssvm", "crf"])
+@pytest.mark.parametrize(
+    "kind", ["negative_label", "label_too_large", "length_mismatch", "dim_mismatch", "non_finite"]
+)
+def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch, objective, kind):
+    """The pair samplers used to train on a -1 label, wrapped to the last one."""
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("sgd_step ran on malformed data")
+
+    monkeypatch.setattr(trainers, "sgd_step", no_step)
+    data = tiny_data(n_labels=3)
+    bad = SequenceData(train=data.train + [_bad_instance(kind)], test=data.test, n_labels=3)
+    with pytest.raises(DomainError):
+        sgd_train(bad, TrainConfig(objective=objective, iterations=50))
+
