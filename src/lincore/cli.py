@@ -22,6 +22,7 @@ from .experiments import (
     run_stability,
     run_train_seq,
 )
+from .trainers import OBJECTIVES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--objective",
-        choices=["ssvm", "crf", "lincore", "lincore_ksample"],
+        choices=OBJECTIVES,
         default=None,
         help="training objective (default from config)",
     )

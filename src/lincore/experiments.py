@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from ._version import __version__
 from .consistency import (
@@ -54,34 +56,53 @@ def _merge_config(defaults: dict, overrides: dict | None) -> dict:
     return config
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, seed: int, timings: dict, artifacts: list[str]
+def _write_artifacts(
+    out_dir: str | None, command: str, config: dict, seed: int, t0: float, files: dict
 ) -> None:
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "lincore": __version__,
+    """Write a driver's files and its ``manifest.json`` into ``out_dir``.
+
+    ``files`` maps each file name to its content, in manifest order: a
+    ``(header, rows)`` pair for a ``.csv`` name, a JSON value otherwise.
+    ``seconds_total`` runs from ``t0`` until the files are written.  Does
+    nothing when ``out_dir`` is None.
+    """
+    if out_dir is None:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, content) -> None:
+        with open(out / name, "w", newline="") as handle:
+            if name.endswith(".csv"):
+                writer = csv.writer(handle)
+                writer.writerow(content[0])
+                writer.writerows(content[1])
+            else:
+                json.dump(content, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+
+    for name, content in files.items():
+        write(name, content)
+    write(
+        "manifest.json",
+        {
+            "command": command,
+            "seed": seed,
+            "config": config,
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "lincore": __version__,
+            },
+            "machine": {"cpu_count": os.cpu_count()},
+            "timings": {"seconds_total": time.perf_counter() - t0},
+            "artifacts": list(files),
+            "nondeterministic_columns": {
+                name: cols for name, cols in _TIMING_COLUMNS.items() if name in files
+            },
         },
-        "timings": timings,
-        "artifacts": artifacts,
-        "nondeterministic_columns": {
-            name: cols for name, cols in _TIMING_COLUMNS.items() if name in artifacts
-        },
-    }
-    with open(out_dir / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    )
 
 
 def _base_from_name(name: str) -> BaseLoss:
@@ -122,25 +143,15 @@ def run_rates(config: dict | None = None, seed: int = 0, out_dir: str | None = N
         curve = biased_coin_curve(loss, deltas)
         points.extend(curve)
         slopes[loss.name] = fit_loglog_slope(curve)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            out / "rates.csv",
-            ["loss", "delta", "excess_surrogate", "excess_target"],
-            [(p.loss_name, repr(p.delta), repr(p.excess_surrogate), repr(p.excess_target)) for p in points],
-        )
-        with open(out / "slopes.json", "w") as handle:
-            json.dump(slopes, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        _write_manifest(
-            out,
-            "rates",
-            cfg,
-            seed,
-            {"seconds_total": time.perf_counter() - t0},
-            ["rates.csv", "slopes.json"],
-        )
+    rates_rows = [
+        (p.loss_name, repr(p.delta), repr(p.excess_surrogate), repr(p.excess_target))
+        for p in points
+    ]
+    files = {
+        "rates.csv": (["loss", "delta", "excess_surrogate", "excess_target"], rates_rows),
+        "slopes.json": slopes,
+    }
+    _write_artifacts(out_dir, "rates", cfg, seed, t0, files)
     return RatesResult(points=points, slopes=slopes)
 
 
@@ -186,22 +197,9 @@ def run_stability(
     seen = {row.tau for row in rows}
     extra = [tau for tau in cfg["vanishing_taus"] if float(tau) not in seen]
     rows.extend(tau_sweep(base, extra, vanishing_grid))
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            out / "stability.csv",
-            ["tau", "slope"],
-            [(repr(row.tau), repr(row.slope)) for row in rows],
-        )
-        _write_manifest(
-            out,
-            "stability",
-            cfg,
-            seed,
-            {"seconds_total": time.perf_counter() - t0},
-            ["stability.csv"],
-        )
+    stability_rows = [(repr(row.tau), repr(row.slope)) for row in rows]
+    files = {"stability.csv": (["tau", "slope"], stability_rows)}
+    _write_artifacts(out_dir, "stability", cfg, seed, t0, files)
     return StabilityResult(rows=rows)
 
 
@@ -297,25 +295,11 @@ def run_scaling(
                     cv_flag=cv > cfg["cv_threshold"],
                 )
             )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            out / "scaling.csv",
-            ["method", "Y", "seconds_per_batch", "cv", "cv_flag"],
-            [
-                (r.method, r.n_labels, repr(r.seconds_per_batch), repr(r.cv), int(r.cv_flag))
-                for r in rows
-            ],
-        )
-        _write_manifest(
-            out,
-            "scaling",
-            cfg,
-            seed,
-            {"seconds_total": time.perf_counter() - t0},
-            ["scaling.csv"],
-        )
+    scaling_rows = [
+        (r.method, r.n_labels, repr(r.seconds_per_batch), repr(r.cv), int(r.cv_flag)) for r in rows
+    ]
+    files = {"scaling.csv": (["method", "Y", "seconds_per_batch", "cv", "cv_flag"], scaling_rows)}
+    _write_artifacts(out_dir, "scaling", cfg, seed, t0, files)
     return ScalingResult(rows=rows)
 
 
@@ -385,25 +369,12 @@ def run_train_seq(
         eval_max_instances=cfg["eval_max_instances"],
     )
     result = sgd_train(data, train_cfg)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            out / "history.csv",
-            ["iteration", "objective", "test_error", "seconds"],
-            [
-                (row.iteration, repr(row.objective), repr(row.test_error), repr(row.seconds))
-                for row in result.history
-            ],
-        )
-        _write_manifest(
-            out,
-            "train-seq",
-            cfg,
-            seed,
-            {"seconds_total": time.perf_counter() - t0},
-            ["history.csv"],
-        )
+    history_rows = [
+        (row.iteration, repr(row.objective), repr(row.test_error), repr(row.seconds))
+        for row in result.history
+    ]
+    files = {"history.csv": (["iteration", "objective", "test_error", "seconds"], history_rows)}
+    _write_artifacts(out_dir, "train-seq", cfg, seed, t0, files)
     return TrainSeqResult(result=result, config=cfg)
 
 
@@ -585,39 +556,24 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
                 "ce", clean=ce_mag[~dataset.flipped], noisy=ce_mag[dataset.flipped]
             )
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            out / "noise.csv",
-            ["loss", "q", "noise_rate", "test_accuracy"],
-            [
-                (a.loss, "" if a.q is None else repr(a.q), repr(a.noise_rate), repr(a.test_accuracy))
-                for a in accuracies
-            ],
-        )
-        hist_rows = []
-        edges = np.linspace(0.0, 1.0, cfg["n_bins"] + 1)
-        for name, groups in sorted(gradient_groups.items()):
-            for group_name, values in (("clean", groups.clean), ("noisy", groups.noisy)):
-                counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
-                for k, count in enumerate(counts):
-                    hist_rows.append(
-                        (name, group_name, repr(float(edges[k])), repr(float(edges[k + 1])), int(count))
-                    )
-        _write_csv(
-            out / "grad_hist.csv",
-            ["loss", "group", "bin_left", "bin_right", "count"],
-            hist_rows,
-        )
-        _write_manifest(
-            out,
-            "noise",
-            cfg,
-            seed,
-            {"seconds_total": time.perf_counter() - t0},
-            ["noise.csv", "grad_hist.csv"],
-        )
+    noise_rows = [
+        (a.loss, "" if a.q is None else repr(a.q), repr(a.noise_rate), repr(a.test_accuracy))
+        for a in accuracies
+    ]
+    hist_rows = []
+    edges = np.linspace(0.0, 1.0, cfg["n_bins"] + 1)
+    for name, groups in sorted(gradient_groups.items()):
+        for group_name, values in (("clean", groups.clean), ("noisy", groups.noisy)):
+            counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
+            for k, count in enumerate(counts):
+                hist_rows.append(
+                    (name, group_name, repr(float(edges[k])), repr(float(edges[k + 1])), int(count))
+                )
+    files = {
+        "noise.csv": (["loss", "q", "noise_rate", "test_accuracy"], noise_rows),
+        "grad_hist.csv": (["loss", "group", "bin_left", "bin_right", "count"], hist_rows),
+    }
+    _write_artifacts(out_dir, "noise", cfg, seed, t0, files)
     return NoiseResult(
         accuracies=accuracies, gradient_groups=gradient_groups, realized_flip_rates=realized
     )

@@ -31,10 +31,10 @@ import numpy as np
 
 from .structured import (
     ChainModel,
+    _chain_scores,
     _check_instance,
     feature_difference,
     joint_feature,
-    sequence_score,
 )
 
 # Potential range (nats) up to which the scaled recursion stays inside the
@@ -200,7 +200,7 @@ def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
     else:
         log_partition, unary_marginals = chain.log_partition, chain.alpha * chain.beta
         expected_transition = chain.kernel * (chain.alpha[:-1].T @ chain.edge_weights)
-    nll = log_partition - sequence_score(model, x, y)
+    nll = log_partition - _chain_scores(model, x, y[None])[0]
 
     expected_unary = unary_marginals.T @ x  # (Y, d)
     expected = np.concatenate([expected_unary.ravel(), expected_transition.ravel()])
@@ -209,9 +209,12 @@ def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
 
 
 def hinge_violation(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
-    """Structured hinge violation of ``y`` and its loss-augmented competitor."""
+    """Structured hinge violation of ``y`` and its loss-augmented competitor.
+
+    ``x`` and ``y`` are the arrays :func:`_check_instance` returns.
+    """
     competitor, augmented = loss_augmented_viterbi(model, x, y)
-    return augmented - sequence_score(model, x, y), competitor
+    return float(augmented - _chain_scores(model, x, y[None])[0]), competitor
 
 
 def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:

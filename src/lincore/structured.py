@@ -115,12 +115,23 @@ def hamming_loss(y, y_other) -> float:
     return float(np.mean(a != b))
 
 
+def _chain_scores(model: ChainModel, x: np.ndarray, sequences: np.ndarray) -> np.ndarray:
+    """Unchecked scores of the (K, L) ``sequences`` for the (L, d) inputs.
+
+    The one sequence scorer: each sequence gathers its unary rows and
+    dots them with ``x``, then adds its gathered transitions.  Every score
+    in the package comes from here, so a sequence scores the same bits
+    alone, in a pair or in a full enumeration.  Callers validate first.
+    """
+    scores = np.einsum("kld,ld->k", model.unary[sequences], x)
+    if sequences.shape[1] > 1:
+        scores += model.transition[sequences[:, :-1], sequences[:, 1:]].sum(axis=1)
+    return scores
+
+
 def sequence_score(model: ChainModel, x, y) -> float:
     x, y = _check_instance(model, x, y)
-    score = float(np.einsum("ld,ld->", model.unary[y], x))
-    if y.size > 1:
-        score += float(np.sum(model.transition[y[:-1], y[1:]]))
-    return score
+    return float(_chain_scores(model, x, y[None])[0])
 
 
 def joint_feature(n_labels: int, x, y) -> np.ndarray:
@@ -230,14 +241,17 @@ def enumerate_sequences(n_labels: int, length: int, limit: int = ENUMERATION_LIM
     return np.array(list(product(range(n_labels), repeat=length)), dtype=np.int64)
 
 
-def all_sequence_scores(model: ChainModel, x, sequences: np.ndarray) -> np.ndarray:
+def all_sequence_scores(model: ChainModel, x, sequences) -> np.ndarray:
     """Scores of many label sequences at once."""
     x, _ = _check_instance(model, x)
-    unary_table = x @ model.unary.T  # (L, Y)
-    scores = unary_table[np.arange(sequences.shape[1]), sequences].sum(axis=1)
-    if sequences.shape[1] > 1:
-        scores = scores + model.transition[sequences[:, :-1], sequences[:, 1:]].sum(axis=1)
-    return scores
+    sequences = np.asarray(sequences)
+    if sequences.ndim != 2 or sequences.shape[1] != x.shape[0]:
+        raise DomainError("sequences must be a (count, length) matrix matching the input length")
+    if not np.issubdtype(sequences.dtype, np.integer):
+        raise DomainError("sequences must hold integer labels")
+    if sequences.size and (sequences.min() < 0 or sequences.max() >= model.n_labels):
+        raise DomainError("label out of range")
+    return _chain_scores(model, x, sequences)
 
 
 def similarity_weights(sequences: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -251,7 +265,7 @@ def structured_sum_loss_exact(
     """Exact structured sum loss by full enumeration of the label space."""
     x, y = _check_instance(model, x, y)
     seqs = enumerate_sequences(model.n_labels, x.shape[0], limit)
-    scores = all_sequence_scores(model, x, seqs)
+    scores = _chain_scores(model, x, seqs)
     weights = similarity_weights(seqs, y)
     total = 0.0
     phi0 = lc_value(spec, 0.0)
@@ -271,7 +285,7 @@ def structured_sum_loss_gradient_exact(
     x, y = _check_instance(model, x, y)
     n = model.n_labels
     seqs = enumerate_sequences(n, x.shape[0], limit)
-    scores = all_sequence_scores(model, x, seqs)
+    scores = _chain_scores(model, x, seqs)
     weights = similarity_weights(seqs, y)
 
     # Each ordered pair (y', y'') with y' != y'' contributes

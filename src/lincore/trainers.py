@@ -41,6 +41,7 @@ from .structured import (
     ChainModel,
     ENUMERATION_LIMIT,
     FeatureDelta,
+    _chain_scores,
     _check_instance,
     _touched,
     all_sequence_scores,
@@ -138,11 +139,39 @@ def uniform_full_probability(length: int, n_labels: int) -> float:
     return 1.0 / float(n_labels**length - 1)
 
 
-def _score(model: ChainModel, x: np.ndarray, y: np.ndarray) -> float:
-    s = float(np.einsum("ld,ld->", model.unary[y], x))
-    if y.size > 1:
-        s += float(np.sum(model.transition[y[:-1], y[1:]]))
-    return s
+def _sample_pair(
+    model: ChainModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    spec: LinearCoreSpec,
+    proposal: PairProposal,
+    rng: np.random.Generator,
+) -> tuple:
+    """Draw (outer, inner) and return ``(outer, inner, w1, w2, coeff)``.
+
+    ``coeff = w1 / d2 * phi'(score(outer) - score(inner))``, with ``w2 =
+    1 / d2``, is the margin coefficient of ``feature(outer) -
+    feature(inner)``; the dense estimate and the sparse SGD update both use
+    it as returned.  An outer draw that disagrees with ``y`` everywhere has
+    ``w1 == 0``; it returns ``coeff = 0`` without scoring, and the SGD step
+    skips its update.
+    """
+    n = model.n_labels
+    outer = sample_corruption(y, n, proposal.corruption_rate, rng)
+    if proposal.inner == NEIGHBOR:
+        inner = sample_neighbor(outer, n, rng)
+        d2 = neighbor_probability(y.size, n)
+    else:
+        inner = sample_uniform_full(outer, n, rng)
+        d2 = uniform_full_probability(y.size, n)
+    d1 = corruption_probability(y, outer, n, proposal.corruption_rate)
+    if d1 <= 0.0 or d2 <= 0.0:
+        raise DomainError("degenerate proposal probability")
+    w1, w2 = (1.0 - hamming_loss(outer, y)) / d1, 1.0 / d2
+    if w1 == 0.0:
+        return outer, inner, w1, w2, 0.0
+    scores = _chain_scores(model, x, np.array([outer, inner]))
+    return outer, inner, w1, w2, w1 / d2 * lc_derivative(spec, scores[0] - scores[1])
 
 
 def lc_pair_gradient_estimate(
@@ -154,26 +183,11 @@ def lc_pair_gradient_estimate(
     rng: np.random.Generator,
 ) -> GradEstimate:
     """One importance-weighted pair sample of the structured-loss gradient."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    x, y = _check_instance(model, x, y)
+    outer, inner, w1, w2, coeff = _sample_pair(model, x, y, spec, proposal, rng)
     n = model.n_labels
-    length = y.size
-    y_outer = sample_corruption(y, n, proposal.corruption_rate, rng)
-    if proposal.inner == NEIGHBOR:
-        y_inner = sample_neighbor(y_outer, n, rng)
-        d2 = neighbor_probability(length, n)
-    else:
-        y_inner = sample_uniform_full(y_outer, n, rng)
-        d2 = uniform_full_probability(length, n)
-    d1 = corruption_probability(y, y_outer, n, proposal.corruption_rate)
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise DomainError("degenerate proposal probability")
-    similarity = 1.0 - hamming_loss(y_outer, y)
-    w1 = similarity / d1
-    w2 = 1.0 / d2
-    coeff = w1 * w2 * lc_derivative(spec, _score(model, x, y_outer) - _score(model, x, y_inner))
-    gradient = coeff * (joint_feature(n, x, y_outer) - joint_feature(n, x, y_inner))
-    return GradEstimate(gradient=gradient, w1=float(w1), w2=float(w2), outer=y_outer, inner=y_inner)
+    gradient = coeff * (joint_feature(n, x, outer) - joint_feature(n, x, inner))
+    return GradEstimate(gradient=gradient, w1=float(w1), w2=float(w2), outer=outer, inner=inner)
 
 
 def exact_pair_estimator_expectation(
@@ -225,6 +239,7 @@ def lc_ksample_gradient_estimate(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Average of ``n_negatives`` uniform-competitor margin gradients."""
+    x, y_star = _check_instance(model, x, y_star)
     return _ksample_delta(model, x, y_star, spec, n_negatives, rng).dense()
 
 
@@ -238,14 +253,9 @@ def _ksample_delta(
 ) -> FeatureDelta:
     if n_negatives < 1:
         raise DomainError("need at least one negative sample")
-    x = np.asarray(x, dtype=np.float64)
-    y_star = np.asarray(y_star, dtype=np.int64)
-    n = model.n_labels
-    length = y_star.size
-    negatives = rng.integers(0, n, size=(n_negatives, length))
-    scores = all_sequence_scores(model, x, negatives)
-    s_star = _score(model, x, y_star)
-    coeffs = lc_derivative(spec, s_star - scores) / n_negatives
+    negatives = rng.integers(0, model.n_labels, size=(n_negatives, y_star.size))
+    scores = _chain_scores(model, x, np.concatenate([y_star[None], negatives]))
+    coeffs = lc_derivative(spec, scores[0] - scores[1:]) / n_negatives
     return _accumulate_ksample(model, x, y_star, negatives, coeffs)
 
 
@@ -280,13 +290,10 @@ def uniform_negative_gradient_exact(
     spec: LinearCoreSpec, model: ChainModel, x, y_star, *, limit: int = ENUMERATION_LIMIT
 ) -> np.ndarray:
     """Exact gradient of E_{y ~ Uniform}[phi(score(y*) - score(y))]."""
-    x = np.asarray(x, dtype=np.float64)
-    y_star = np.asarray(y_star, dtype=np.int64)
-    n = model.n_labels
-    seqs = enumerate_sequences(n, y_star.size, limit)
-    scores = all_sequence_scores(model, x, seqs)
-    s_star = _score(model, x, y_star)
-    coeffs = lc_derivative(spec, s_star - scores) / len(seqs)
+    x, y_star = _check_instance(model, x, y_star)
+    seqs = enumerate_sequences(model.n_labels, y_star.size, limit)
+    scores = _chain_scores(model, x, np.concatenate([y_star[None], seqs]))
+    coeffs = lc_derivative(spec, scores[0] - scores[1:]) / len(seqs)
     return _accumulate_ksample(model, x, y_star, seqs, coeffs).dense()
 
 
@@ -459,6 +466,14 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     start = time.perf_counter()
 
     def record(iteration: int) -> None:
+        # The objective alone misses a runaway: it is NaN wherever the
+        # label space is too large to enumerate.
+        norm = float(np.hypot(np.linalg.norm(model.unary), np.linalg.norm(model.transition)))
+        if not norm <= config.divergence_guard:
+            raise TrainingDivergedError(
+                f"weight norm {norm:.3g} exceeded guard "
+                f"{config.divergence_guard:.3g} at iteration {iteration}"
+            )
         objective = _mean_objective(config.objective, model, eval_instances, config)
         if np.isfinite(objective) and objective > config.divergence_guard:
             raise TrainingDivergedError(
@@ -514,23 +529,9 @@ def sgd_step(
     n_labels = model.n_labels
     step = config.eta if step is None else step
     if config.objective == "lincore":
-        y_outer = sample_corruption(y, n_labels, proposal.corruption_rate, rng)
-        if proposal.inner == NEIGHBOR:
-            y_inner = sample_neighbor(y_outer, n_labels, rng)
-            d2 = neighbor_probability(y.size, n_labels)
-        else:
-            y_inner = sample_uniform_full(y_outer, n_labels, rng)
-            d2 = uniform_full_probability(y.size, n_labels)
-        d1 = corruption_probability(y, y_outer, n_labels, proposal.corruption_rate)
-        w1 = (1.0 - hamming_loss(y_outer, y)) / d1
-        if w1 == 0.0:
-            return
-        coeff = (
-            w1
-            / d2
-            * lc_derivative(config.spec, _score(model, x, y_outer) - _score(model, x, y_inner))
-        )
-        _apply_pair_update(unary, transition, x, y_outer, y_inner, step * coeff)
+        outer, inner, w1, _, coeff = _sample_pair(model, x, y, config.spec, proposal, rng)
+        if w1 != 0.0:
+            _apply_pair_update(unary, transition, x, outer, inner, step * coeff)
         return
     if config.objective == "lincore_ksample":
         delta = _ksample_delta(model, x, y, config.spec, config.n_negatives, rng)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from lincore import ConfigError
 from lincore.experiments import (
@@ -78,6 +79,13 @@ class TestRatesDriver:
         assert manifest["config"] == dict(run_rates.__globals__["RATES_DEFAULTS"], **TINY_RATES)
         assert manifest["seed"] == 1
         assert result.slopes == slopes
+
+    def test_manifest_records_versions_and_machine(self, tmp_path):
+        run_rates(TINY_RATES, seed=0, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+        assert manifest["machine"] == {"cpu_count": os.cpu_count()}
+        assert manifest["artifacts"] == ["rates.csv", "slopes.json"]
 
     def test_rates_csv_deterministic(self, tmp_path):
         run_rates(TINY_RATES, seed=3, out_dir=tmp_path / "a")

@@ -75,6 +75,29 @@ class TestScoresAndFeatures:
             via_features = float(model_weights(model) @ joint_feature(n, x, y))
             assert direct == pytest.approx(via_features, abs=1e-12)
 
+    def test_batch_and_single_scores_agree_bitwise(self):
+        """One arithmetic: a sequence scores the same bits alone or in a batch."""
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            length = int(rng.integers(1, 12))
+            model = random_model(rng, n, 5)
+            x = rng.normal(size=(length, 5))
+            seqs = rng.integers(0, n, size=(6, length))
+            singles = [sequence_score(model, x, seq) for seq in seqs]
+            assert all_sequence_scores(model, x, seqs).tolist() == singles
+
+    @pytest.mark.parametrize(
+        "seqs",
+        [[[-1, 0]], [[3, 0]], [[1]], [[0, 1, 2]], [0, 1], [[0.0, 1.0]]],
+        ids=["wrapped_label", "label_too_large", "short", "long", "one_dim", "float"],
+    )
+    def test_batch_scores_reject_malformed_sequences(self, seqs):
+        """-1 used to wrap to the last label and a short row to score a prefix."""
+        model = ChainModel(np.arange(6.0).reshape(3, 2), np.zeros((3, 3)))
+        with pytest.raises(DomainError):
+            all_sequence_scores(model, np.ones((2, 2)), np.array(seqs))
+
     def test_flat_layout_round_trip(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 4, 5)

@@ -7,6 +7,7 @@ from lincore import (
     BaseLoss,
     ChainModel,
     DomainError,
+    HmmSpec,
     LinearCoreSpec,
     ONE_SIDED,
     PairProposal,
@@ -16,6 +17,7 @@ from lincore import (
     empirical_gradient_variance,
     exact_pair_estimator_expectation,
     feature_radius_exact,
+    generate_hmm_split,
     hamming_loss,
     joint_feature,
     lc_derivative,
@@ -322,6 +324,22 @@ class TestSgdTrain:
         with pytest.raises(TrainingDivergedError):
             sgd_train(data, config)
 
+    def test_divergence_guard_sees_the_weights(self):
+        """Beyond the enumeration limit every objective is NaN; the weights
+        ran to a norm of 1.9e33 here without tripping the guard."""
+        data = generate_hmm_split(
+            HmmSpec(length=12, n_labels=30, dim=20, n_sequences=50, seed=0), n_test=10
+        )
+        config = TrainConfig(
+            eta=0.01,
+            iterations=200,
+            objective="lincore",
+            inner_proposal=UNIFORM_FULL,
+            eval_interval=50,
+        )
+        with pytest.raises(TrainingDivergedError, match="weight norm"):
+            sgd_train(data, config)
+
     def test_objective_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(objective="perceptron")
@@ -439,3 +457,43 @@ def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch,
     with pytest.raises(DomainError):
         sgd_train(bad, TrainConfig(objective=objective, iterations=50))
 
+
+@pytest.mark.parametrize("inner", [NEIGHBOR, UNIFORM_FULL])
+def test_pair_step_and_estimator_share_one_sampler(monkeypatch, inner):
+    """From one stream the sparse SGD step and the dense estimator draw the
+    same pair, and the step moves the weights by ``-eta`` times the estimate."""
+    drawn = []
+
+    def recording_update(unary, transition, x, outer, competitor, step):
+        drawn.append((outer, competitor))
+        apply_pair_update(unary, transition, x, outer, competitor, step)
+
+    apply_pair_update = trainers._apply_pair_update
+    monkeypatch.setattr(trainers, "_apply_pair_update", recording_update)
+    data = tiny_data(seed=4, n_train=10, length=5, n_labels=4, dim=3)
+    config = TrainConfig(eta=0.05, objective="lincore", inner_proposal=inner)
+    proposal = PairProposal(config.corruption_rate, inner)
+    rng = np.random.default_rng(11)
+    model = ChainModel(0.3 * rng.normal(size=(4, 3)), 0.3 * rng.normal(size=(4, 4)))
+    updates = 0
+    for t in range(300):
+        x, y = data.train[t % len(data.train)]
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+        estimate_rng = stream_rng(6, DOMAIN_TRAIN_SAMPLE, t)
+        step_rng = stream_rng(6, DOMAIN_TRAIN_SAMPLE, t)
+        estimate = lc_pair_gradient_estimate(model, x, y, config.spec, proposal, estimate_rng)
+        stepped = ChainModel(model.unary.copy(), model.transition.copy())
+        drawn.clear()
+        sgd_step(stepped, x, y, config, proposal, step_rng)
+        assert estimate_rng.random() == step_rng.random()  # same number of draws
+        change = model_weights(stepped) - model_weights(model)
+        expected = -config.eta * estimate.gradient
+        assert np.linalg.norm(change - expected) <= 1e-12 * np.linalg.norm(expected)
+        if estimate.w1 == 0.0:
+            assert not drawn and not change.any()
+            continue
+        ((outer, competitor),) = drawn
+        assert np.array_equal(outer, estimate.outer)
+        assert np.array_equal(competitor, estimate.inner)
+        updates += 1
+    assert updates > 250
