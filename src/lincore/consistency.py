@@ -73,6 +73,8 @@ def weighted_margin_infimum(
     w_pos = np.atleast_1d(np.asarray(w_pos, dtype=np.float64))
     w_neg = np.atleast_1d(np.asarray(w_neg, dtype=np.float64))
     w_pos, w_neg = (arr.copy() for arr in np.broadcast_arrays(w_pos, w_neg))
+    if not (np.all(np.isfinite(w_pos)) and np.all(np.isfinite(w_neg))):
+        raise DomainError("pair weights must be finite")
     if np.any(w_pos < 0.0) or np.any(w_neg < 0.0):
         raise DomainError("pair weights must be non-negative")
     if np.any(w_pos + w_neg <= 0.0):

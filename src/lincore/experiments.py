@@ -19,6 +19,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ from .consistency import (
 )
 from .datagen import HmmSpec, IdnSpec, generate_hmm_split, generate_idn_dataset
 from .errors import ConfigError
-from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC, lc_derivative
+from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC
+from .multiclass import _ce_gradient, _gce_gradient, _softmax, _sum_loss_gradient
 from .rng import DOMAIN_NOISE_TRAIN, DOMAIN_TRAIN_INSTANCE, DOMAIN_TRAIN_SAMPLE, stream_rng
 from .structured import ChainModel
 from .trainers import PairProposal, TrainConfig, TrainResult, sgd_step, sgd_train
@@ -424,45 +426,22 @@ class NoiseResult:
     realized_flip_rates: dict
 
 
-def _train_linear_multiclass(
-    loss: str,
-    q: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    spec: LinearCoreSpec,
-    epochs: int,
-    batch_size: int,
-    eta: float,
-    weight_decay: float,
-    seed: int,
-) -> np.ndarray:
-    """Minibatch SGD on a linear scorer; identical budget and batches per loss."""
-    weights = np.zeros((n_classes, x.shape[1]))
-    n = x.shape[0]
-    onehot = np.eye(n_classes)
-    for epoch in range(epochs):
+def _train_linear_multiclass(x, y, cfg: dict, seed: int, grad_scores, *params) -> np.ndarray:
+    """Minibatch SGD on a linear scorer; identical budget and batches per loss.
+
+    ``grad_scores(scores, labels, *params)`` is an unchecked ``(B, C)``
+    gradient kernel of :mod:`lincore.multiclass`; the generator's labels
+    need no re-validation.
+    """
+    weights = np.zeros((cfg["n_classes"], x.shape[1]))
+    n, batch_size = x.shape[0], cfg["batch_size"]
+    for epoch in range(cfg["epochs"]):
         order = stream_rng(seed, DOMAIN_NOISE_TRAIN, epoch).permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             batch = order[start : start + batch_size]
-            xb, yb = x[batch], y[batch]
-            scores = xb @ weights.T
-            if loss == "ce" or loss == "gce":
-                shifted = scores - scores.max(axis=1, keepdims=True)
-                probs = np.exp(shifted)
-                probs /= probs.sum(axis=1, keepdims=True)
-                if loss == "ce":
-                    grad_scores = probs - onehot[yb]
-                else:
-                    p_y = probs[np.arange(len(batch)), yb] ** q
-                    grad_scores = p_y[:, None] * (probs - onehot[yb])
-            else:
-                margins = scores[np.arange(len(batch)), yb][:, None] - scores
-                slopes = lc_derivative(spec, margins)
-                grad_scores = -slopes
-                totals = slopes.sum(axis=1) - slopes[np.arange(len(batch)), yb]
-                grad_scores[np.arange(len(batch)), yb] = totals
-            weights -= eta * (grad_scores.T @ xb / len(batch) + weight_decay * weights)
+            xb = x[batch]
+            grad = grad_scores(xb @ weights.T, y[batch], *params)
+            weights -= cfg["eta"] * (grad.T @ xb / batch_size + cfg["weight_decay"] * weights)
     return weights
 
 
@@ -502,33 +481,19 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
         x_test = np.hstack([dataset.x_test, np.ones((dataset.x_test.shape[0], 1))])
         realized[float(rate)] = float(np.mean(dataset.flipped))
 
-        def fit(loss: str, q: float = 1.0) -> np.ndarray:
-            return _train_linear_multiclass(
-                loss,
-                q,
-                x_train,
-                dataset.y_train,
-                cfg["n_classes"],
-                spec,
-                cfg["epochs"],
-                cfg["batch_size"],
-                cfg["eta"],
-                cfg["weight_decay"],
-                seed,
-            )
-
-        ce_weights = fit("ce")
+        fit = partial(_train_linear_multiclass, x_train, dataset.y_train, cfg, seed)
+        ce_weights = fit(_ce_gradient)
         accuracies.append(
             NoiseAccuracy("ce", None, float(rate), _accuracy(ce_weights, x_test, dataset.y_test))
         )
         best_q, best_acc = None, -1.0
         for q in cfg["q_grid"]:
-            acc = _accuracy(fit("gce", float(q)), x_test, dataset.y_test)
+            acc = _accuracy(fit(_gce_gradient, float(q)), x_test, dataset.y_test)
             accuracies.append(NoiseAccuracy("gce", float(q), float(rate), acc))
             if acc > best_acc:
                 best_q, best_acc = float(q), acc
         accuracies.append(NoiseAccuracy("gce_best", best_q, float(rate), best_acc))
-        lc_weights = fit("lc")
+        lc_weights = fit(_sum_loss_gradient, spec)
         accuracies.append(
             NoiseAccuracy("lc", None, float(rate), _accuracy(lc_weights, x_test, dataset.y_test))
         )
@@ -536,25 +501,16 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
         if abs(float(rate) - cfg["hist_noise_rate"]) < 1e-12:
             labels = dataset.y_train
             idx = np.arange(labels.size)
-            lc_scores = x_train @ lc_weights.T
-            margins = lc_scores[idx, labels][:, None] - lc_scores
-            magnitudes = np.abs(lc_derivative(spec, margins))
-            mask = np.ones_like(margins, dtype=bool)
-            mask[idx, labels] = False
-            lc_mag = magnitudes[mask].reshape(labels.size, -1)
-            ce_scores = x_train @ ce_weights.T
-            shifted = ce_scores - ce_scores.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            ce_mag = 1.0 - probs[idx, labels]
-            gradient_groups["lc"] = GradientGroups(
-                "lc",
-                clean=lc_mag[~dataset.flipped].ravel(),
-                noisy=lc_mag[dataset.flipped].ravel(),
-            )
-            gradient_groups["ce"] = GradientGroups(
-                "ce", clean=ce_mag[~dataset.flipped], noisy=ce_mag[dataset.flipped]
-            )
+            # Per-pair surrogate slopes: the gradient off the true label.
+            lc_slopes = np.abs(_sum_loss_gradient(x_train @ lc_weights.T, labels, spec))
+            off_label = labels[:, None] != np.arange(lc_slopes.shape[1])
+            lc_mag = lc_slopes[off_label].reshape(labels.size, -1)
+            ce_mag = 1.0 - _softmax(x_train @ ce_weights.T)[idx, labels]
+            flipped = dataset.flipped
+            for name, mag in (("lc", lc_mag), ("ce", ce_mag)):
+                gradient_groups[name] = GradientGroups(
+                    name, clean=mag[~flipped].ravel(), noisy=mag[flipped].ravel()
+                )
 
     noise_rows = [
         (a.loss, "" if a.q is None else repr(a.q), repr(a.noise_rate), repr(a.test_accuracy))
@@ -690,16 +646,18 @@ def _check_multiclass_regret() -> str:
     from .multiclass import mc_conditional_regrets
 
     rng = stream_rng(2, 6)
-    worst = np.inf
+    by_size: dict[int, list] = {}
     for _ in range(250):
         n = int(rng.integers(2, 6))
-        p = rng.dirichlet(np.ones(n))
-        scores = rng.normal(scale=2.0, size=n)
+        by_size.setdefault(n, []).append((rng.dirichlet(np.ones(n)), rng.normal(scale=2.0, size=n)))
+    worst = np.inf
+    for p, scores in (map(np.array, zip(*draws)) for draws in by_size.values()):
         for side in (SYMMETRIC, ONE_SIDED):
             spec = LinearCoreSpec(BaseLoss.logistic(), side=side)
             r01, rsur = mc_conditional_regrets(spec, p, scores)
-            worst = min(worst, rsur - r01)
-            _require(r01 <= rsur + 1e-8, f"pointwise consistency violated by {r01 - rsur:.2e}")
+            worst = min(worst, float(np.min(rsur - r01)))
+            gap = np.max(r01 - rsur)
+            _require(np.all(r01 <= rsur + 1e-8), f"pointwise consistency violated by {gap:.2e}")
     return f"min surplus {worst:.1e}"
 
 
@@ -708,16 +666,20 @@ def _check_structured_regret() -> str:
 
     rng = stream_rng(3, 6)
     spec = LinearCoreSpec(BaseLoss.logistic(), side=ONE_SIDED)
-    worst = np.inf
+    by_size: dict[int, list] = {}
     for _ in range(250):
         n = int(rng.integers(3, 7))
         p = rng.dirichlet(np.ones(n))
         scores = rng.normal(scale=2.0, size=n)
         ell = rng.uniform(0.0, 1.0, size=(n, n))
         np.fill_diagonal(ell, 0.0)
+        by_size.setdefault(n, []).append((p, scores, ell))
+    worst = np.inf
+    for p, scores, ell in (map(np.array, zip(*draws)) for draws in by_size.values()):
         rt, rs = structured_conditional_regrets(spec, p, scores, ell)
-        worst = min(worst, rs - rt)
-        _require(rt <= rs + 1e-8, f"structured consistency violated by {rt - rs:.2e}")
+        worst = min(worst, float(np.min(rs - rt)))
+        gap = np.max(rt - rs)
+        _require(np.all(rt <= rs + 1e-8), f"structured consistency violated by {gap:.2e}")
     return f"min surplus {worst:.1e}"
 
 

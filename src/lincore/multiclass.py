@@ -9,12 +9,19 @@ small or negative margin against the competing label.  Cross-entropy and
 generalized cross-entropy are provided as the baselines of the label-noise
 study.
 
+Batch-first: each quantity has one unchecked kernel ``_name(scores, labels,
+*params)`` over ``(B, C)`` scores and ``(B,)`` integer labels.  The public
+functions validate once and call it; ``(C,)`` scores with an ``int`` label
+give a ``float`` (or ``(C,)`` gradient), ``(B, C)`` scores give one per row.
+
 The regret oracle is brute force by design: it enumerates label pairs,
 computes every pairwise infimum with the shared convex minimizer, and is
 guarded to small label counts so it can serve as ground truth.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,57 +32,150 @@ from .losses import LinearCoreSpec, lc_derivative, lc_value, linear_core_margin_
 MAX_ORACLE_LABELS = 8
 
 
-def _check_scores(scores) -> np.ndarray:
+def _check_scores(scores, what: str = "scores") -> np.ndarray:
     arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DomainError("scores must be a 1-D array with at least 2 entries")
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
+        raise DomainError(f"{what} must be (C,) or (B, C) with at least 2 classes")
     if not np.all(np.isfinite(arr)):
-        raise DomainError("scores must be finite")
+        raise DomainError(f"{what} must be finite")
     return arr
-
-
-def _check_label(y: int, n: int) -> int:
-    y = int(y)
-    if not 0 <= y < n:
-        raise DomainError(f"label {y} out of range for {n} classes")
-    return y
-
-
-def argmax_label(scores) -> int:
-    """Deterministic decoder: ties break to the lowest label index."""
-    return int(np.argmax(_check_scores(scores)))
-
-
-def mc_sum_loss(spec: LinearCoreSpec, scores, y: int) -> float:
-    scores = _check_scores(scores)
-    y = _check_label(y, scores.size)
-    margins = scores[y] - scores
-    values = lc_value(spec, margins)
-    return float(np.sum(values) - values[y])
-
-
-def mc_sum_loss_gradient(spec: LinearCoreSpec, scores, y: int) -> np.ndarray:
-    scores = _check_scores(scores)
-    y = _check_label(y, scores.size)
-    margins = scores[y] - scores
-    slopes = lc_derivative(spec, margins)
-    grad = -slopes
-    grad[y] = float(np.sum(slopes) - slopes[y])
-    return grad
 
 
 def _check_distribution(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DomainError("probability vector must be 1-D with at least 2 entries")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise DomainError("probabilities must be finite and non-negative")
-    if abs(float(np.sum(arr)) - 1.0) > 1e-12:
-        raise DomainError("probabilities must sum to 1 within 1e-12")
+    arr = _check_scores(p, "probabilities")
+    if np.any(arr < 0.0) or np.any(np.abs(np.sum(arr, axis=-1) - 1.0) > 1e-12):
+        raise DomainError("probabilities must be non-negative and sum to 1 within 1e-12")
     return arr
 
 
-def conditional_surrogate_regret(spec: LinearCoreSpec, weights, scores) -> float:
+def _check_q(q: float) -> float:
+    q = float(q)
+    if not np.isfinite(q) or not 0.0 < q <= 1.0:
+        raise DomainError(f"q must lie in (0, 1], got {q}")
+    return q
+
+
+def _oracle_batch(p, scores) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Validated ``(B, C)`` distributions and scores, and whether they were a batch."""
+    p = _check_distribution(p)
+    scores = _check_scores(scores)
+    if p.shape != scores.shape:
+        raise DomainError("p and scores must have matching shapes")
+    if p.shape[-1] > MAX_ORACLE_LABELS:
+        raise EnumerationLimitError(f"at most {MAX_ORACLE_LABELS} oracle labels, got {p.shape[-1]}")
+    return np.atleast_2d(p), np.atleast_2d(scores), p.ndim == 2
+
+
+def _unbatch(batched: bool, *values):
+    """Per-row results of a batch as they are; of a single input, as floats."""
+    return values if batched else tuple(float(v[0]) for v in values)
+
+
+def _batched(kernel, scores, y, *args):
+    """Validate ``scores`` and their labels ``y``, then run ``kernel`` on them as a batch."""
+    scores = _check_scores(scores)
+    labels = np.asarray(y)
+    if labels.shape != scores.shape[:-1] or labels.dtype.kind not in "iu":
+        raise DomainError("need one integer label per score row")
+    if np.any((labels < 0) | (labels >= scores.shape[-1])):
+        raise DomainError(f"labels must lie in [0, {scores.shape[-1]})")
+    if scores.ndim == 2:
+        return kernel(scores, labels, *args)
+    out = kernel(scores[None], labels[None], *args)
+    return out[0] if out.ndim == 2 else float(out[0])
+
+
+def argmax_label(scores):
+    """Deterministic decoder: ties break to the lowest label index."""
+    labels = np.argmax(_check_scores(scores), axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
+
+
+def _sum_loss(scores, labels, spec):
+    rows = np.arange(labels.size)
+    values = lc_value(spec, scores[rows, labels][:, None] - scores)
+    return values.sum(axis=1) - values[rows, labels]
+
+
+def _sum_loss_gradient(scores, labels, spec):
+    rows = np.arange(labels.size)
+    slopes = lc_derivative(spec, scores[rows, labels][:, None] - scores)
+    grad = -slopes
+    grad[rows, labels] = slopes.sum(axis=1) - slopes[rows, labels]
+    return grad
+
+
+@lru_cache(maxsize=16)
+def _onehot_rows(n: int) -> np.ndarray:
+    """Read-only identity, built once instead of per minibatch; row ``y`` is one-hot ``y``."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _softmax(scores):
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def _ce_loss(scores, labels):
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(labels.size), labels]
+
+
+def _ce_gradient(scores, labels):
+    return _softmax(scores) - _onehot_rows(scores.shape[1])[labels]
+
+
+def _gce_loss(scores, labels, q):
+    return (1.0 - _softmax(scores)[np.arange(labels.size), labels] ** q) / q
+
+
+def _gce_gradient(scores, labels, q):
+    """``p_y**q * (p - onehot(y))``, the CE gradient scaled by ``p_y**q``."""
+    probs = _softmax(scores)
+    scale = probs[np.arange(labels.size), labels] ** q
+    return scale[:, None] * (probs - _onehot_rows(scores.shape[1])[labels])
+
+
+def _surrogate_regret(spec, weights, scores):
+    ii, jj = np.triu_indices(scores.shape[1], k=1)
+    margins = scores[:, ii] - scores[:, jj]
+    w_i, w_j = weights[:, ii], weights[:, jj]
+    realized = w_i * lc_value(spec, margins) + w_j * lc_value(spec, -margins)
+    loss = linear_core_margin_loss(spec)
+    infima = weighted_margin_infimum(loss, w_i.ravel(), w_j.ravel()).value
+    return (realized - infima.reshape(margins.shape)).sum(axis=1)
+
+
+def mc_sum_loss(spec: LinearCoreSpec, scores, y):
+    return _batched(_sum_loss, scores, y, spec)
+
+
+def mc_sum_loss_gradient(spec: LinearCoreSpec, scores, y) -> np.ndarray:
+    return _batched(_sum_loss_gradient, scores, y, spec)
+
+
+def ce_loss(scores, y):
+    """Softmax negative log-likelihood."""
+    return _batched(_ce_loss, scores, y)
+
+
+def ce_gradient(scores, y) -> np.ndarray:
+    return _batched(_ce_gradient, scores, y)
+
+
+def gce_loss(scores, y, q: float):
+    """Generalized cross-entropy (1 - p_y^q) / q."""
+    return _batched(_gce_loss, scores, y, _check_q(q))
+
+
+def gce_gradient(scores, y, q: float) -> np.ndarray:
+    return _batched(_gce_gradient, scores, y, _check_q(q))
+
+
+def conditional_surrogate_regret(spec: LinearCoreSpec, weights, scores):
     """Surrogate conditional regret under per-label weights.
 
     Decomposes the weighted sum loss over unordered label pairs and
@@ -87,81 +187,22 @@ def conditional_surrogate_regret(spec: LinearCoreSpec, weights, scores) -> float
     conditional regret; with similarity-mixed weights it is the structured
     one.  Each summand is non-negative, so the result is a certified upper
     bound on the regret relative to the pairwise-optimal score profile.
+    ``(B, C)`` weights and scores give one regret per row.
     """
     weights = np.asarray(weights, dtype=np.float64)
     scores = _check_scores(scores)
-    n = scores.size
-    if weights.shape != (n,):
-        raise DomainError("weights and scores must have matching length")
-    ii, jj = np.triu_indices(n, k=1)
-    margins = scores[ii] - scores[jj]
-    realized = weights[ii] * lc_value(spec, margins) + weights[jj] * lc_value(spec, -margins)
-    loss = linear_core_margin_loss(spec)
-    infima = weighted_margin_infimum(loss, weights[ii], weights[jj]).value
-    return float(np.sum(realized - infima))
+    if weights.shape != scores.shape:
+        raise DomainError("weights and scores must have matching shapes")
+    regret = _surrogate_regret(spec, np.atleast_2d(weights), np.atleast_2d(scores))
+    return _unbatch(scores.ndim == 2, regret)[0]
 
 
-def mc_conditional_regrets(spec: LinearCoreSpec, p, scores) -> tuple[float, float]:
-    """(zero-one regret, surrogate regret) at one input.
+def mc_conditional_regrets(spec: LinearCoreSpec, p, scores):
+    """(zero-one regret, surrogate regret) at one input, or per row of a batch.
 
     Brute-force oracle; refuses more than ``MAX_ORACLE_LABELS`` labels.
     """
-    p = _check_distribution(p)
-    scores = _check_scores(scores)
-    if p.size != scores.size:
-        raise DomainError("p and scores must have matching length")
-    if p.size > MAX_ORACLE_LABELS:
-        raise EnumerationLimitError(
-            f"regret oracle supports up to {MAX_ORACLE_LABELS} labels, got {p.size}"
-        )
-    regret_01 = float(np.max(p) - p[argmax_label(scores)])
-    regret_surrogate = conditional_surrogate_regret(spec, p, scores)
-    return regret_01, regret_surrogate
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.max(scores)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def ce_loss(scores, y: int) -> float:
-    """Softmax negative log-likelihood."""
-    scores = _check_scores(scores)
-    y = _check_label(y, scores.size)
-    shifted = scores - np.max(scores)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[y])
-
-
-def ce_gradient(scores, y: int) -> np.ndarray:
-    scores = _check_scores(scores)
-    y = _check_label(y, scores.size)
-    grad = _softmax(scores)
-    grad[y] -= 1.0
-    return grad
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not np.isfinite(q) or not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
-    return q
-
-
-def gce_loss(scores, y: int, q: float) -> float:
-    """Generalized cross-entropy (1 - p_y^q) / q."""
-    scores = _check_scores(scores)
-    y = _check_label(y, scores.size)
-    q = _check_q(q)
-    p_y = _softmax(scores)[y]
-    return float((1.0 - p_y**q) / q)
-
-
-def gce_gradient(scores, y: int, q: float) -> np.ndarray:
-    scores = _check_scores(scores)
-    y = _check_label(y, scores.size)
-    q = _check_q(q)
-    p = _softmax(scores)
-    grad = p[y] ** q * p
-    grad[y] -= p[y] ** q
-    return grad
+    p, scores, batched = _oracle_batch(p, scores)
+    predicted = np.argmax(scores, axis=1)
+    regret_01 = np.max(p, axis=1) - p[np.arange(predicted.size), predicted]
+    return _unbatch(batched, regret_01, _surrogate_regret(spec, p, scores))

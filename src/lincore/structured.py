@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationLimitError
 from .losses import LinearCoreSpec, lc_derivative, lc_value
-from .multiclass import conditional_surrogate_regret
+from .multiclass import _oracle_batch, _surrogate_regret, _unbatch
 
 ENUMERATION_LIMIT = 4096
 
@@ -140,6 +140,8 @@ def joint_feature(n_labels: int, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DomainError("need (length, dim) inputs and a matching label sequence")
+    if np.any((y < 0) | (y >= n_labels)):
+        raise DomainError("label out of range")
     dim = x.shape[1]
     unary = np.zeros((n_labels, dim))
     np.add.at(unary, y, x)
@@ -318,13 +320,13 @@ def structured_sum_loss_gradient_exact(
 
 
 def validate_loss_matrix(ell) -> np.ndarray:
-    """Check a target loss matrix: square, zero diagonal, entries in [0, 1]."""
+    """Check a target loss matrix (or a batch): square, zero diagonal, entries in [0, 1]."""
     ell = np.asarray(ell, dtype=np.float64)
-    if ell.ndim != 2 or ell.shape[0] != ell.shape[1] or ell.shape[0] < 2:
+    if ell.ndim not in (2, 3) or ell.shape[-1] != ell.shape[-2] or ell.shape[-1] < 2:
         raise DomainError("loss matrix must be square with at least 2 labels")
     if not np.all(np.isfinite(ell)):
         raise DomainError("loss matrix entries must be finite")
-    if np.any(np.abs(np.diag(ell)) > 0.0):
+    if np.any(np.abs(np.diagonal(ell, axis1=-2, axis2=-1)) > 0.0):
         raise DomainError("loss matrix diagonal must be zero")
     if np.any(ell < 0.0) or np.any(ell > 1.0):
         raise DomainError(
@@ -334,33 +336,26 @@ def validate_loss_matrix(ell) -> np.ndarray:
     return ell
 
 
-def structured_conditional_regrets(
-    spec: LinearCoreSpec, p, scores, loss_matrix
-) -> tuple[float, float]:
+def structured_conditional_regrets(spec: LinearCoreSpec, p, scores, loss_matrix):
     """(target regret, surrogate regret) for an explicit finite label set.
 
     ``p`` is the conditional distribution over labels, ``scores`` the score
     vector, ``loss_matrix`` the target loss.  The surrogate side mixes the
     distribution through the similarity weights W(y') = sum_y p_y (1 - ell(y', y))
-    and reuses the pairwise-infimum decomposition.
+    and reuses the pairwise-infimum decomposition.  ``(B, n)`` distributions
+    and scores with ``(B, n, n)`` loss matrices give one pair of regrets per row.
     """
-    p = np.asarray(p, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
+    p, scores, batched = _oracle_batch(p, scores)
     ell = validate_loss_matrix(loss_matrix)
-    n = ell.shape[0]
-    if p.shape != (n,) or scores.shape != (n,):
+    ell = ell if batched else ell[None]
+    if ell.shape != p.shape + p.shape[-1:]:
         raise DomainError("p, scores, and loss matrix sizes must agree")
-    if n > 8:
-        raise EnumerationLimitError(f"regret oracle supports up to 8 labels, got {n}")
-    if np.any(p < 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
-        raise DomainError("p must be a probability vector")
-
-    expected_loss = ell @ p
-    predicted = int(np.argmax(scores))
-    regret_target = float(expected_loss[predicted] - np.min(expected_loss))
-    similarity_mix = (1.0 - ell) @ p
-    regret_surrogate = conditional_surrogate_regret(spec, similarity_mix, scores)
-    return regret_target, regret_surrogate
+    expected_loss = (ell @ p[:, :, None])[:, :, 0]
+    rows, predicted = np.arange(p.shape[0]), np.argmax(scores, axis=1)
+    regret_target = expected_loss[rows, predicted] - np.min(expected_loss, axis=1)
+    similarity_mix = ((1.0 - ell) @ p[:, :, None])[:, :, 0]
+    regret_surrogate = _surrogate_regret(spec, similarity_mix, scores)
+    return _unbatch(batched, regret_target, regret_surrogate)
 
 
 def feature_radius_exact(xs, n_labels: int, *, limit: int = ENUMERATION_LIMIT) -> float:

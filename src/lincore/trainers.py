@@ -205,8 +205,7 @@ def exact_pair_estimator_expectation(
     exact probability; the result is what unbiasedness compares against the
     exact restricted-loss gradient.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    x, y = _check_instance(model, x, y)
     n = model.n_labels
     length = y.size
     seqs = enumerate_sequences(n, length, limit)

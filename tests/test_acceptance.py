@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from lincore import (
     BaseLoss,
@@ -189,26 +190,26 @@ def test_criterion_05_restricted_pair_infimum():
         assert np.max(np.abs(numeric.value - closed)) < 1e-9
 
 
-def _batched_surrogate_regret(spec, weights, scores):
-    """Vectorized pairwise-decomposition regret over a batch of draws.
+def _reference_surrogate_regret(spec, weights, scores):
+    """The pairwise surrogate regret with each pair infimum from scipy's
+    bounded Brent search, so the check does not share lincore's minimizer."""
 
-    Same quantity as the per-draw oracle; verified against it below on a
-    subsample so the fast path cannot drift from the module definition.
-    """
-    from lincore import weighted_margin_infimum
+    def pair_infimum(w_pos, w_neg):
+        pair = np.array([w_pos, w_neg])
+        res = minimize_scalar(
+            lambda u: pair @ lc_value(spec, np.array([u, -u])),
+            bounds=(-60.0, 60.0),
+            method="bounded",
+            options={"xatol": 1e-10, "maxiter": 2000},
+        )
+        return float(res.fun)
 
-    loss = linear_core_margin_loss(spec)
-    n = scores.shape[1]
-    ii, jj = np.triu_indices(n, k=1)
-    margins = scores[:, ii] - scores[:, jj]
-    realized = weights[:, ii] * lc_value(spec, margins) + weights[:, jj] * lc_value(
-        spec, -margins
-    )
-    infima = (
-        weighted_margin_infimum(loss, weights[:, ii].ravel(), weights[:, jj].ravel())
-        .value.reshape(margins.shape)
-    )
-    return np.sum(realized - infima, axis=1)
+    total = 0.0
+    for i, j in zip(*np.triu_indices(scores.size, k=1)):
+        margin = scores[i] - scores[j]
+        realized = weights[i] * lc_value(spec, margin) + weights[j] * lc_value(spec, -margin)
+        total += realized - pair_infimum(weights[i], weights[j])
+    return total
 
 
 def test_criterion_06_multiclass_pointwise_consistency():
@@ -226,13 +227,17 @@ def test_criterion_06_multiclass_pointwise_consistency():
                 regret_01 = np.max(p, axis=1) - p[
                     np.arange(draws_per_combo), np.argmax(scores, axis=1)
                 ]
-                regret_sur = _batched_surrogate_regret(spec, p, scores)
+                batch_01, regret_sur = mc_conditional_regrets(spec, p, scores)
+                np.testing.assert_allclose(batch_01, regret_01, rtol=0, atol=1e-12)
                 assert np.all(regret_01 <= regret_sur + 1e-8)
-                # Tie the batched path to the per-draw oracle.
+                # Tie the batched path to the per-draw oracle and to an
+                # independent pair-infimum reference.
                 for k in range(0, draws_per_combo, 125):
                     single = mc_conditional_regrets(spec, p[k], scores[k])
                     assert single[0] == pytest.approx(float(regret_01[k]), abs=1e-12)
                     assert single[1] == pytest.approx(float(regret_sur[k]), abs=1e-9)
+                    reference = _reference_surrogate_regret(spec, p[k], scores[k])
+                    assert reference == pytest.approx(float(regret_sur[k]), abs=1e-9)
                 checked += draws_per_combo
     assert checked == 10_000
     assert time.perf_counter() - start < 60.0
@@ -256,12 +261,15 @@ def test_criterion_07_structured_pointwise_consistency():
                 expected_loss[np.arange(batch), predicted] - expected_loss.min(axis=1)
             )
             mixed = np.einsum("bij,bj->bi", 1.0 - ell, p)
-            regret_sur = _batched_surrogate_regret(spec, mixed, scores)
+            batch_target, regret_sur = structured_conditional_regrets(spec, p, scores, ell)
+            np.testing.assert_allclose(batch_target, regret_target, rtol=0, atol=1e-12)
             assert np.all(regret_target <= regret_sur + 1e-8)
             for k in range(0, batch, 250):
                 single = structured_conditional_regrets(spec, p[k], scores[k], ell[k])
                 assert single[0] == pytest.approx(float(regret_target[k]), abs=1e-12)
                 assert single[1] == pytest.approx(float(regret_sur[k]), abs=1e-9)
+                reference = _reference_surrogate_regret(spec, mixed[k], scores[k])
+                assert reference == pytest.approx(float(regret_sur[k]), abs=1e-9)
             checked += batch
     assert checked == 10_000
 

@@ -225,6 +225,14 @@ class TestPairInfimumOverReals:
         with pytest.raises(DomainError):
             weighted_margin_infimum(EXP_LC, np.array([-1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        """A NaN weight used to give value 1.08e-30 with at_edge set."""
+        with pytest.raises(DomainError):
+            weighted_margin_infimum(EXP_LC, np.array([bad]), np.array([0.5]))
+        with pytest.raises(DomainError):
+            weighted_margin_infimum(EXP_LC, np.array([0.5, 0.5]), np.array([0.5, bad]))
+
 
 def test_rate_loss_names():
     assert [loss.name for loss in rate_losses()] == [

@@ -200,3 +200,101 @@ def test_one_sided_gradient_saturates_below_width():
     scores = np.array([0.2, 0.2 - LOG_ONE.tau])
     grad = mc_sum_loss_gradient(LOG_ONE, scores, 0)
     assert abs(grad[0]) == 1.0
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+BATCH_KERNELS = {
+    "sum_loss": lambda s, y: mc_sum_loss(LOG_ONE, s, y),
+    "sum_loss_exp": lambda s, y: mc_sum_loss(EXP_SYM, s, y),
+    "sum_loss_gradient": lambda s, y: mc_sum_loss_gradient(LOG_ONE, s, y),
+    "sum_loss_gradient_exp": lambda s, y: mc_sum_loss_gradient(EXP_SYM, s, y),
+    "ce_loss": ce_loss,
+    "ce_gradient": ce_gradient,
+    "gce_loss": lambda s, y: gce_loss(s, y, 0.7),
+    "gce_gradient": lambda s, y: gce_gradient(s, y, 0.3),
+}
+
+
+class TestBatchFirst:
+    """Row k of a (B, C) call is bitwise the (C,) call on row k."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_KERNELS))
+    def test_rows_match_single_calls(self, name):
+        fn = BATCH_KERNELS[name]
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 5, 8):
+            scores = rng.normal(scale=3.0, size=(30, n))
+            labels = rng.integers(0, n, size=30)
+            batch = fn(scores, labels)
+            assert batch.shape == (scores.shape if "gradient" in name else labels.shape)
+            for k in range(labels.size):
+                single = fn(scores[k], int(labels[k]))
+                assert isinstance(single, np.ndarray if "gradient" in name else float)
+                assert _bits(batch[k]) == _bits(single)
+
+    @pytest.mark.parametrize("spec", [EXP_SYM, LOG_ONE], ids=["exp-sym", "log-one"])
+    def test_regret_rows_match_single_calls(self, spec):
+        from lincore.multiclass import conditional_surrogate_regret
+
+        rng = np.random.default_rng(22)
+        for n in (2, 4, 8):
+            p = rng.dirichlet(np.ones(n), size=12)
+            scores = rng.normal(scale=2.0, size=(12, n))
+            regret_01, regret_sur = mc_conditional_regrets(spec, p, scores)
+            weighted = conditional_surrogate_regret(spec, p, scores)
+            assert regret_01.shape == regret_sur.shape == (12,)
+            assert _bits(weighted) == _bits(regret_sur)
+            for k in range(12):
+                single = mc_conditional_regrets(spec, p[k], scores[k])
+                assert all(isinstance(v, float) for v in single)
+                assert _bits(single) == _bits((regret_01[k], regret_sur[k]))
+                assert _bits(conditional_surrogate_regret(spec, p[k], scores[k])) == _bits(
+                    regret_sur[k]
+                )
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.0, 1.0]),
+            np.array([0, 1, 2]),
+            np.array([[0, 1]]),
+            np.array([-1, 0]),
+            np.array([0, 3]),
+            np.array([True, False]),
+        ],
+        ids=["float", "too-many", "2-d", "minus-one", "too-large", "bool"],
+    )
+    @pytest.mark.parametrize("name", sorted(BATCH_KERNELS))
+    def test_batched_edge_rejects_bad_labels(self, name, labels):
+        with pytest.raises(DomainError):
+            BATCH_KERNELS[name](np.zeros((2, 3)), labels)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [np.float64(1.0), np.zeros((2, 2, 3)), np.zeros((2, 1))],
+        ids=["0-d", "3-d", "C=1"],
+    )
+    @pytest.mark.parametrize("name", sorted(BATCH_KERNELS))
+    def test_edge_rejects_scores_of_wrong_rank(self, name, scores):
+        with pytest.raises(DomainError):
+            BATCH_KERNELS[name](scores, np.zeros(scores.shape[:-1], dtype=int))
+
+    def test_single_input_rejects_bad_labels(self):
+        """A float label used to be truncated silently (1.5 scored as label 1)."""
+        with pytest.raises(DomainError):
+            mc_sum_loss(EXP_SYM, np.zeros(3), 1.5)
+        with pytest.raises(DomainError):
+            ce_gradient(np.zeros(3), -1)
+
+    def test_regret_oracle_rejects_mismatched_batches(self):
+        p = np.full((2, 3), 1.0 / 3.0)
+        negative = np.array([[0.5, 0.6, -0.1], [0.2, 0.3, 0.5]])
+        with pytest.raises(DomainError):
+            mc_conditional_regrets(EXP_SYM, p, np.zeros((3, 3)))
+        with pytest.raises(DomainError):
+            mc_conditional_regrets(EXP_SYM, negative, np.zeros((2, 3)))
+        with pytest.raises(DomainError):
+            mc_conditional_regrets(EXP_SYM, np.array([np.nan, 0.5, 0.5]), np.zeros(3))

@@ -288,3 +288,51 @@ def test_regret_oracle_matches_direct_conditional_error():
         best = float(np.sum(weighted_margin_infimum(loss, mixed[ii], mixed[jj]).value))
         _, regret_sur = structured_conditional_regrets(EXP_SYM, p, scores, ell)
         assert regret_sur == pytest.approx(realized - best, abs=1e-9)
+
+
+def test_joint_feature_rejects_labels_out_of_range():
+    """The label -1 used to wrap to the last label's row."""
+    with pytest.raises(DomainError):
+        joint_feature(3, np.ones((2, 2)), [-1, 0])
+    with pytest.raises(DomainError):
+        joint_feature(3, np.ones((2, 2)), [0, 3])
+
+
+class TestBatchedStructuredRegrets:
+    def test_nan_probability_raises(self):
+        """A NaN in p used to pass the sum check and return (nan, nan)."""
+        ell = 0.5 * (1.0 - np.eye(3))
+        with pytest.raises(DomainError):
+            structured_conditional_regrets(
+                LOG_ONE, np.array([np.nan, 0.5, 0.5]), np.array([0.0, 1.0, 2.0]), ell
+            )
+
+    @pytest.mark.parametrize("spec", [EXP_SYM, LOG_ONE], ids=["exp-sym", "log-one"])
+    def test_rows_match_single_calls(self, spec):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 6, 8):
+            p = rng.dirichlet(np.ones(n), size=10)
+            scores = rng.normal(scale=2.0, size=(10, n))
+            ell = rng.uniform(0.0, 1.0, size=(10, n, n))
+            ell[:, np.arange(n), np.arange(n)] = 0.0
+            regret_target, regret_sur = structured_conditional_regrets(spec, p, scores, ell)
+            assert regret_target.shape == regret_sur.shape == (10,)
+            for k in range(10):
+                single = structured_conditional_regrets(spec, p[k], scores[k], ell[k])
+                assert all(isinstance(v, float) for v in single)
+                assert np.asarray(single).tobytes() == np.array(
+                    [regret_target[k], regret_sur[k]]
+                ).tobytes()
+
+    def test_batch_shapes_must_agree(self):
+        p = np.full((2, 3), 1.0 / 3.0)
+        ell = 1.0 - np.eye(3)
+        with pytest.raises(DomainError):
+            structured_conditional_regrets(EXP_SYM, p, np.zeros((2, 3)), ell)
+        with pytest.raises(DomainError):
+            structured_conditional_regrets(EXP_SYM, p[0], np.zeros(3), ell[None])
+        with pytest.raises(DomainError):
+            structured_conditional_regrets(EXP_SYM, p, np.zeros((2, 3)), np.stack([ell] * 3))
+        big = np.stack([1.0 - np.eye(9)] * 2)
+        with pytest.raises(EnumerationLimitError):
+            structured_conditional_regrets(EXP_SYM, np.full((2, 9), 1 / 9), np.zeros((2, 9)), big)

@@ -118,6 +118,14 @@ class TestPairEstimator:
         assert margin == 0.0
         assert lc_derivative(ONE_LOG, margin) == -1.0
 
+    def test_expectation_rejects_labels_out_of_range(self):
+        """The label -1 used to wrap to the last label and give a finite gradient."""
+        model = ChainModel(np.arange(6.0).reshape(3, 2), np.zeros((3, 3)))
+        with pytest.raises(DomainError):
+            exact_pair_estimator_expectation(
+                model, np.ones((2, 2)), [-1, 0], ONE_LOG, PairProposal(0.3)
+            )
+
     def test_uniform_full_expectation_equals_exact_gradient(self):
         rng = np.random.default_rng(2)
         for _ in range(4):
