@@ -50,13 +50,19 @@ def generate_hmm_data(spec: HmmSpec) -> SequenceData:
     kernel = np.exp(logits - logits.max(axis=1, keepdims=True))
     kernel /= kernel.sum(axis=1, keepdims=True)
     centers = rng.normal(size=(spec.n_labels, spec.dim))
+    # Each transition draws as Generator.choice(p=row) does: the row's
+    # normalized CDF, one uniform, searchsorted(side="right").  The CDFs
+    # are built once, and a sequence's uniforms drawn together.
+    cdf = kernel.cumsum(axis=1)
+    cdf = cdf / cdf[:, -1:]
 
     instances = []
     for _ in range(spec.n_sequences):
         labels = np.empty(spec.length, dtype=np.int64)
         labels[0] = rng.integers(0, spec.n_labels)
+        uniforms = rng.random(spec.length - 1)
         for j in range(1, spec.length):
-            labels[j] = rng.choice(spec.n_labels, p=kernel[labels[j - 1]])
+            labels[j] = cdf[labels[j - 1]].searchsorted(uniforms[j - 1], side="right")
         features = centers[labels] + rng.normal(size=(spec.length, spec.dim))
         instances.append((features, labels))
     return SequenceData(train=instances, test=[], n_labels=spec.n_labels)

@@ -38,9 +38,21 @@ from .datagen import HmmSpec, IdnSpec, generate_hmm_split, generate_idn_dataset
 from .errors import ConfigError
 from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC
 from .multiclass import _ce_gradient, _gce_gradient, _softmax, _sum_loss_gradient
-from .rng import DOMAIN_NOISE_TRAIN, DOMAIN_TRAIN_INSTANCE, DOMAIN_TRAIN_SAMPLE, stream_rng
+from .rng import (
+    DOMAIN_NOISE_TRAIN,
+    DOMAIN_TRAIN_INSTANCE,
+    DOMAIN_TRAIN_SAMPLE,
+    keyed_rng,
+    rekey,
+    stream_keys,
+    stream_rng,
+)
 from .structured import ChainModel
 from .trainers import PairProposal, TrainConfig, TrainResult, sgd_step, sgd_train
+
+# The environment variables that set the BLAS thread count; unset ones
+# are recorded as null.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _TIMING_COLUMNS = {
     "history.csv": ["seconds"],
@@ -97,7 +109,10 @@ def _write_artifacts(
                 "scipy": scipy.__version__,
                 "lincore": __version__,
             },
-            "machine": {"cpu_count": os.cpu_count()},
+            "machine": {
+                "cpu_count": os.cpu_count(),
+                "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+            },
             "timings": {"seconds_total": time.perf_counter() - t0},
             "artifacts": list(files),
             "nondeterministic_columns": {
@@ -250,6 +265,12 @@ def run_scaling(
     cfg = _merge_config(SCALING_DEFAULTS, config)
     t0 = time.perf_counter()
     rows: list[ScalingRow] = []
+    # Batch t draws from the (seed, t) streams of both training domains.
+    total = cfg["warmup_batches"] + cfg["timed_batches"]
+    batches = np.arange(total)
+    pick_keys = stream_keys(seed, DOMAIN_TRAIN_INSTANCE, batches)
+    sample_keys = stream_keys(seed, DOMAIN_TRAIN_SAMPLE, batches)
+    rng = keyed_rng()
     for n_labels in cfg["label_sizes"]:
         data = generate_hmm_split(
             HmmSpec(
@@ -275,13 +296,9 @@ def run_scaling(
             proposal = PairProposal(cfg["corruption_rate"])
             model = ChainModel.zeros(int(n_labels), cfg["dim"])
             times = []
-            total = cfg["warmup_batches"] + cfg["timed_batches"]
             for t in range(total):
-                idx = int(
-                    stream_rng(seed, DOMAIN_TRAIN_INSTANCE, t).integers(0, len(train))
-                )
-                x, y = train[idx]
-                rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, t, 0)
+                x, y = train[int(rekey(rng, pick_keys[t]).integers(0, len(train)))]
+                rekey(rng, sample_keys[t])
                 tick = time.perf_counter()
                 sgd_step(model, x, y, train_cfg, proposal, rng)
                 times.append(time.perf_counter() - tick)

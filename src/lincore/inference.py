@@ -70,6 +70,32 @@ def _viterbi_tables(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarr
     return best, float(dp[best[-1]])
 
 
+def _viterbi_batch(unary: np.ndarray, transition: np.ndarray) -> np.ndarray:
+    """Best paths of ``(N, L, Y)`` unary tables, row ``i`` bitwise
+    ``_viterbi_tables(unary[i], transition)[0]``.
+
+    The same candidate sums, first-index ties and back-pointers, with the
+    batch axis in front.  Single decodes keep :func:`_viterbi_tables`,
+    which is faster at one input.
+    """
+    count, length, n = unary.shape
+    rows, cols = np.arange(count), np.arange(n)
+    cand = np.empty((count, n, n))  # (instance, from, to)
+    back = np.empty((length, count, n), dtype=np.int64)
+    dp = unary[:, 0].copy()
+    for j in range(1, length):
+        np.add(dp[:, :, None], transition, out=cand)
+        pred = back[j]
+        cand.argmax(axis=1, out=pred)
+        dp = cand[rows[:, None], pred, cols]
+        dp += unary[:, j]
+    best = np.empty((count, length), dtype=np.int64)
+    best[:, -1] = dp.argmax(axis=1)
+    for j in range(length - 1, 0, -1):
+        best[:, j - 1] = back[j, rows, best[:, j]]
+    return best
+
+
 def viterbi(model: ChainModel, x) -> tuple[np.ndarray, float]:
     """Highest-scoring label sequence and its score."""
     x, _ = _check_instance(model, x)

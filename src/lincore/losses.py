@@ -27,6 +27,7 @@ All functions are vectorized: they accept scalars or arrays and return
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,31 +217,45 @@ def lc_value(spec: LinearCoreSpec, u):
     """
     arr, scalar = _as_array(u)
     _check_exp_input(spec, arr)
-    tau, c0 = spec.tau, spec.intercept
+    tau = spec.tau
     slope0 = spec.base.slope_at_zero
-    out = np.empty_like(arr)
-
+    # The affine core everywhere, then the tails over their entries.
+    out = np.negative(arr)
+    out += tau
+    out += spec.intercept
     right = arr > tau
-    if spec.side == ONE_SIDED:
-        core = ~right
-        out[core] = -arr[core] + tau + c0
-    else:
-        left = arr < -tau
-        core = ~(right | left)
-        out[core] = -arr[core] + tau + c0
-        if np.any(left):
-            out[left] = base_value(spec.base, -tau - arr[left]) / slope0 + 2.0 * tau
     if np.any(right):
         out[right] = base_value(spec.base, tau - arr[right]) / slope0
+    if spec.side == SYMMETRIC:
+        left = arr < -tau
+        if np.any(left):
+            out[left] = base_value(spec.base, -tau - arr[left]) / slope0 + 2.0 * tau
     return _maybe_scalar(out, scalar)
+
+
+def _on_core(spec: LinearCoreSpec, u) -> bool:
+    """Whether ``u`` is a float where the array path returns slope -1.
+
+    That is a finite ``u <= tau`` (and ``>= -tau`` when symmetric) that the
+    exponential input guard accepts.
+    """
+    return (
+        isinstance(u, float)
+        and math.isfinite(u)
+        and u <= spec.tau
+        and (spec.side == ONE_SIDED or u >= -spec.tau)
+        and (spec.base.kind != EXPONENTIAL or abs(u) <= _EXP_INPUT_LIMIT)
+    )
 
 
 def lc_derivative(spec: LinearCoreSpec, u):
     """Evaluate the first derivative of the surrogate at ``u``.
 
     Equals -1 on the core (and for every u <= tau in the one-sided case);
-    continuous across the knots.
+    continuous across the knots.  A float on the core returns -1.0 at once.
     """
+    if _on_core(spec, u):
+        return -1.0
     arr, scalar = _as_array(u)
     _check_exp_input(spec, arr)
     tau = spec.tau

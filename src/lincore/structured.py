@@ -121,9 +121,15 @@ def _chain_scores(model: ChainModel, x: np.ndarray, sequences: np.ndarray) -> np
     The one sequence scorer: each sequence gathers its unary rows and
     dots them with ``x``, then adds its gathered transitions.  Every score
     in the package comes from here, so a sequence scores the same bits
-    alone, in a pair or in a full enumeration.  Callers validate first.
+    alone, in a pair or in a full enumeration.  ``(N, L, d)`` inputs give
+    ``(N, K)`` scores, each row bitwise the scores of its own ``(L, d)``
+    call.  Callers validate first.
     """
-    scores = np.einsum("kld,ld->k", model.unary[sequences], x)
+    gathered = model.unary[sequences]
+    if x.ndim == 2:
+        scores = np.einsum("kld,ld->k", gathered, x)
+    else:
+        scores = np.einsum("kld,nld->nk", gathered, x)
     if sequences.shape[1] > 1:
         scores += model.transition[sequences[:, :-1], sequences[:, 1:]].sum(axis=1)
     return scores
@@ -257,27 +263,58 @@ def all_sequence_scores(model: ChainModel, x, sequences) -> np.ndarray:
 
 
 def similarity_weights(sequences: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """1 - Hamming distance of every enumerated sequence to ``y``."""
-    return 1.0 - np.mean(sequences != np.asarray(y)[None, :], axis=1)
+    """1 - Hamming distance of every enumerated sequence to ``y``.
+
+    ``(N, L)`` targets give ``(N, K)`` weights, one row per target.
+    """
+    return 1.0 - np.mean(sequences != np.asarray(y)[..., None, :], axis=-1)
+
+
+def _check_batch(model: ChainModel, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Validated ``(L, d)`` or ``(N, L, d)`` inputs with their labels, and
+    whether they were a batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        x, y = _check_instance(model, x, y)
+        return x, y, False
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != x.shape[:2]:
+        raise DomainError("need one label sequence per input matrix, matching its length")
+    # Rows of equal length check as one (N * L, d) instance.
+    _check_instance(model, x.reshape(x.shape[0] * x.shape[1], x.shape[2]), y.ravel())
+    return x, y, True
 
 
 def structured_sum_loss_exact(
     spec: LinearCoreSpec, model: ChainModel, x, y, *, limit: int = ENUMERATION_LIMIT
-) -> float:
-    """Exact structured sum loss by full enumeration of the label space."""
-    x, y = _check_instance(model, x, y)
-    seqs = enumerate_sequences(model.n_labels, x.shape[0], limit)
-    scores = _chain_scores(model, x, seqs)
-    weights = similarity_weights(seqs, y)
-    total = 0.0
+):
+    """Exact structured sum loss by full enumeration of the label space.
+
+    ``(L, d)`` inputs with ``(L,)`` labels give a float.  ``(N, L, d)``
+    inputs with ``(N, L)`` labels give one value per row, each bitwise the
+    value of the row's own call: the label space is enumerated and scored
+    once, and the surrogate runs once per memory block of margins.
+    """
+    x, y, batched = _check_batch(model, x, y)
+    seqs = enumerate_sequences(model.n_labels, x.shape[-2], limit)
+    scores = np.atleast_2d(_chain_scores(model, x, seqs))
+    weights = np.atleast_2d(similarity_weights(seqs, y))
+    count, m = scores.shape
+    totals = np.zeros(count)
     phi0 = lc_value(spec, 0.0)
-    chunk = max(1, _CHUNK_ELEMENTS // max(scores.size, 1))
-    for start in range(0, scores.size, chunk):
-        stop = min(start + chunk, scores.size)
-        margins = scores[start:stop, None] - scores[None, :]
-        inner = lc_value(spec, margins).sum(axis=1) - phi0
-        total += float(np.dot(weights[start:stop], inner))
-    return total
+    # Anchor blocks as for a single instance, then as many instances per
+    # block as fit the element budget.
+    anchors = max(1, _CHUNK_ELEMENTS // m)
+    for start in range(0, m, anchors):
+        stop = min(start + anchors, m)
+        rows = max(1, _CHUNK_ELEMENTS // ((stop - start) * m))
+        for first in range(0, count, rows):
+            block = scores[first : first + rows]
+            margins = block[:, start:stop, None] - block[:, None, :]
+            inner = lc_value(spec, margins).sum(axis=2) - phi0
+            for i, row in enumerate(inner, first):
+                totals[i] += np.dot(weights[i, start:stop], row)
+    return totals if batched else float(totals[0])
 
 
 def structured_sum_loss_gradient_exact(

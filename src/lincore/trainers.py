@@ -34,9 +34,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnumerationLimitError, TrainingDivergedError
-from .inference import crf_nll_and_gradient, hinge_violation, ssvm_loss_and_subgradient, viterbi
+from .inference import (
+    _unary_table,
+    _viterbi_batch,
+    crf_nll_and_gradient,
+    hinge_violation,
+    ssvm_loss_and_subgradient,
+)
 from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, lc_derivative
-from .rng import DOMAIN_DIAGNOSTIC, DOMAIN_TRAIN_INSTANCE, DOMAIN_TRAIN_SAMPLE, stream_rng
+from .rng import (
+    DOMAIN_DIAGNOSTIC,
+    DOMAIN_TRAIN_INSTANCE,
+    DOMAIN_TRAIN_SAMPLE,
+    iteration_keys,
+    keyed_rng,
+    rekey,
+    stream_rng,
+)
 from .structured import (
     ChainModel,
     ENUMERATION_LIMIT,
@@ -362,8 +376,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.eta >= 0.0:
             raise DomainError("step size must be non-negative")
-        if self.iterations < 0 or self.batch_size < 1:
-            raise DomainError("need iterations >= 0 and batch_size >= 1")
+        if not 0 <= self.iterations < 2**32 or self.batch_size < 1:
+            raise DomainError("need 0 <= iterations < 2**32 and batch_size >= 1")
+        if self.eval_interval > 0 and self.eval_max_instances < 1:
+            raise DomainError("evaluation needs eval_max_instances >= 1")
         if self.objective not in OBJECTIVES:
             raise DomainError(f"unknown objective {self.objective!r}; pick one of {OBJECTIVES}")
 
@@ -382,11 +398,31 @@ class TrainResult:
     history: list
 
 
+def _length_groups(instances) -> list:
+    """Positions of the instances of each length, in first-seen order."""
+    groups: dict[int, list] = {}
+    for i, (_, y) in enumerate(instances):
+        groups.setdefault(len(y), []).append(i)
+    return [np.array(positions) for positions in groups.values()]
+
+
+def _stack(instances, positions: np.ndarray, part: int) -> np.ndarray:
+    return np.stack([instances[i][part] for i in positions])
+
+
 def test_hamming_error(model: ChainModel, instances) -> float:
-    """Mean Hamming loss of Viterbi decodes against the true sequences."""
+    """Mean Hamming loss of Viterbi decodes against the true sequences.
+
+    Instances of equal length are decoded together in one batched Viterbi.
+    """
     if not instances:
         return float("nan")
-    errors = [hamming_loss(viterbi(model, x)[0], y) for x, y in instances]
+    instances = [_check_instance(model, x, y) for x, y in instances]
+    errors = np.empty(len(instances))
+    for positions in _length_groups(instances):
+        unary = np.stack([_unary_table(model, instances[i][0]) for i in positions])
+        paths = _viterbi_batch(unary, model.transition)
+        errors[positions] = np.mean(paths != _stack(instances, positions, 1), axis=1)
     return float(np.mean(errors))
 
 
@@ -394,16 +430,18 @@ def _mean_objective(objective: str, model: ChainModel, instances, config: TrainC
     # The surrogate objectives record the full exact sum loss as the
     # monitoring metric (NaN when the label space is too large to
     # enumerate); the neighbor proposal optimizes its restricted variant,
-    # which moves together with the full sum on these scales.
-    values = []
-    for x, y in instances:
-        if objective == "ssvm":
-            values.append(ssvm_loss_and_subgradient(model, x, y)[0])
-        elif objective == "crf":
-            values.append(crf_nll_and_gradient(model, x, y)[0])
-        else:
+    # which moves together with the full sum on these scales.  Instances
+    # of equal length are evaluated in one batched call.
+    if objective == "ssvm":
+        values = [ssvm_loss_and_subgradient(model, x, y)[0] for x, y in instances]
+    elif objective == "crf":
+        values = [crf_nll_and_gradient(model, x, y)[0] for x, y in instances]
+    else:
+        values = np.empty(len(instances))
+        for positions in _length_groups(instances):
+            xs, ys = _stack(instances, positions, 0), _stack(instances, positions, 1)
             try:
-                values.append(structured_sum_loss_exact(config.spec, model, x, y))
+                values[positions] = structured_sum_loss_exact(config.spec, model, xs, ys)
             except EnumerationLimitError:
                 return float("nan")
     return float(np.mean(values))
@@ -490,15 +528,18 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
 
     if config.eval_interval > 0:
         record(0)
-    for t in range(1, config.iterations + 1):
-        picks = stream_rng(config.seed, DOMAIN_TRAIN_INSTANCE, t).integers(
-            0, len(train), size=config.batch_size
-        )
-        scale = config.eta / config.batch_size
-        for slot, idx in enumerate(picks):
+    # The (seed, iteration, slot) streams of stream_rng, as keys of one
+    # generator: each stream is drawn in full before the next is keyed.
+    stop = config.iterations + 1
+    pick_keys = iteration_keys(config.seed, DOMAIN_TRAIN_INSTANCE, 1, stop)
+    sample_keys = iteration_keys(config.seed, DOMAIN_TRAIN_SAMPLE, 1, stop, config.batch_size)
+    rng = keyed_rng()
+    scale = config.eta / config.batch_size
+    for t, (pick_key,), slot_keys in zip(range(1, stop), pick_keys, sample_keys):
+        picks = rekey(rng, pick_key).integers(0, len(train), size=config.batch_size)
+        for idx, key in zip(picks, slot_keys):
             x, y = train[int(idx)]
-            rng = stream_rng(config.seed, DOMAIN_TRAIN_SAMPLE, t, slot)
-            sgd_step(model, x, y, config, proposal, rng, step=scale)
+            sgd_step(model, x, y, config, proposal, rekey(rng, key), step=scale)
         if config.eval_interval > 0 and t % config.eval_interval == 0:
             record(t)
     if config.eval_interval > 0 and (not history or history[-1].iteration != config.iterations):

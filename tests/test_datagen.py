@@ -11,6 +11,7 @@ from lincore import (
     generate_hmm_split,
     generate_idn_dataset,
 )
+from lincore.rng import DOMAIN_HMM_DATA, stream_rng
 
 
 class TestHmmData:
@@ -113,3 +114,39 @@ class TestIdnData:
             IdnSpec(noise_rate=0.5)
         with pytest.raises(DomainError):
             IdnSpec(noise_rate=-0.1)
+
+
+def _choice_loop_hmm_data(spec):
+    """The label draw written with one Generator.choice call per position."""
+    rng = stream_rng(spec.seed, DOMAIN_HMM_DATA)
+    logits = spec.transition_temperature * rng.normal(size=(spec.n_labels, spec.n_labels))
+    kernel = np.exp(logits - logits.max(axis=1, keepdims=True))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    centers = rng.normal(size=(spec.n_labels, spec.dim))
+    instances = []
+    for _ in range(spec.n_sequences):
+        labels = np.empty(spec.length, dtype=np.int64)
+        labels[0] = rng.integers(0, spec.n_labels)
+        for j in range(1, spec.length):
+            labels[j] = rng.choice(spec.n_labels, p=kernel[labels[j - 1]])
+        features = centers[labels] + rng.normal(size=(spec.length, spec.dim))
+        instances.append((features, labels))
+    return instances
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HmmSpec(length=4, n_labels=3, n_sequences=60, seed=0),
+        HmmSpec(length=12, n_labels=7, dim=5, n_sequences=30, seed=3, transition_temperature=2.5),
+        HmmSpec(length=5, n_labels=4, dim=3, n_sequences=30, seed=2, transition_temperature=0.0),
+        HmmSpec(length=1, n_labels=2, dim=2, n_sequences=10, seed=9),
+    ],
+)
+def test_cdf_label_draws_match_choice_loop_bitwise(spec):
+    got = generate_hmm_data(spec).train
+    want = _choice_loop_hmm_data(spec)
+    assert len(got) == len(want)
+    for (x, y), (x_ref, y_ref) in zip(got, want):
+        assert y.tobytes() == y_ref.tobytes()
+        assert x.tobytes() == x_ref.tobytes()

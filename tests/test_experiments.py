@@ -84,7 +84,13 @@ class TestRatesDriver:
         run_rates(TINY_RATES, seed=0, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["versions"]["scipy"] == scipy.__version__
-        assert manifest["machine"] == {"cpu_count": os.cpu_count()}
+        assert manifest["machine"] == {
+            "cpu_count": os.cpu_count(),
+            "blas_threads": {
+                name: os.environ.get(name)
+                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            },
+        }
         assert manifest["artifacts"] == ["rates.csv", "slopes.json"]
 
     def test_rates_csv_deterministic(self, tmp_path):
@@ -208,3 +214,38 @@ def test_selftest_checks_fail_under_optimized_python():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("failed: lc_logistic slope 0.5000"), done.stdout
+
+
+def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    run_rates(TINY_RATES, seed=0, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["machine"]["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "2",
+        "MKL_NUM_THREADS": None,
+    }
+
+
+def test_scaling_batches_draw_the_stream_rng_streams(monkeypatch):
+    """Each timed batch trains on the instance and stream stream_rng defines."""
+    import lincore.experiments as experiments
+    from lincore.rng import DOMAIN_TRAIN_INSTANCE, DOMAIN_TRAIN_SAMPLE, stream_rng
+
+    seen = []
+
+    def record_step(model, x, y, config, proposal, rng, **kwargs):
+        seen.append((x.tobytes(), rng.integers(0, 2**62, size=3).tolist()))
+
+    monkeypatch.setattr(experiments, "sgd_step", record_step)
+    run_scaling(dict(TINY_SCALING, label_sizes=[4], methods=["lincore", "ssvm"]), seed=3)
+    data = experiments.generate_hmm_split(
+        experiments.HmmSpec(length=5, n_labels=4, dim=4, n_sequences=4, seed=3), n_test=0
+    )
+    want = []
+    for t in range(TINY_SCALING["warmup_batches"] + TINY_SCALING["timed_batches"]):
+        x, _ = data.train[int(stream_rng(3, DOMAIN_TRAIN_INSTANCE, t).integers(0, 4))]
+        want.append((x.tobytes(), stream_rng(3, DOMAIN_TRAIN_SAMPLE, t, 0).integers(0, 2**62, size=3).tolist()))
+    assert seen == want + want

@@ -428,3 +428,24 @@ def test_scaled_and_log_space_recursions_agree():
             [(exact.unary_marginals.T @ x).ravel(), exact.transition_marginals.sum(axis=0).ravel()]
         )
         np.testing.assert_allclose(grad, expected - joint_feature(n, x, y), rtol=0, atol=1e-10)
+
+
+def test_batched_viterbi_matches_single_decodes_including_ties():
+    """Row i of the batched decoder is _viterbi_tables' path for unary[i],
+    with the same first-index ties."""
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n, length, count = int(rng.integers(2, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        if trial % 3 == 0:
+            # Small integers: many exact ties among candidates and end scores.
+            unary = rng.integers(-1, 2, size=(count, length, n)).astype(float)
+            transition = rng.integers(-1, 2, size=(n, n)).astype(float)
+        else:
+            unary = rng.normal(size=(count, length, n))
+            transition = rng.normal(size=(n, n))
+        paths = inference._viterbi_batch(unary, transition)
+        assert paths.shape == (count, length)
+        for k in range(count):
+            np.testing.assert_array_equal(paths[k], inference._viterbi_tables(unary[k], transition)[0])
+    flat = inference._viterbi_batch(np.zeros((3, 4, 5)), np.zeros((5, 5)))
+    np.testing.assert_array_equal(flat, np.zeros((3, 4), dtype=np.int64))

@@ -216,3 +216,49 @@ def test_knot_continuity_property(u, tau, kind):
         assert abs(hi - lo) < 1e-6
     value = lc_value(spec, u)
     assert np.isfinite(value)
+
+
+def _masked_lc_value(spec, u):
+    """The surrogate with the core written through a boolean gather, as a reference."""
+    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    tau, c0, slope0 = spec.tau, spec.intercept, spec.base.slope_at_zero
+    out = np.empty_like(arr)
+    right = arr > tau
+    left = (arr < -tau) if spec.side == SYMMETRIC else np.zeros_like(right)
+    core = ~(right | left)
+    out[core] = -arr[core] + tau + c0
+    if np.any(left):
+        out[left] = base_value(spec.base, -tau - arr[left]) / slope0 + 2.0 * tau
+    if np.any(right):
+        out[right] = base_value(spec.base, tau - arr[right]) / slope0
+    return out
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [LinearCoreSpec(BaseLoss.logistic(), tau=0.3)])
+def test_in_place_core_matches_masked_reference_bitwise(spec):
+    rng = np.random.default_rng(17)
+    u = np.concatenate([spec_grid(spec), rng.normal(scale=5.0, size=500)]).reshape(-1, 8)
+    assert lc_value(spec, u).tobytes() == _masked_lc_value(spec, u).reshape(u.shape).tobytes()
+    for point in (0.0, spec.tau, -spec.tau, 0.5 * spec.tau, -3.0 - spec.tau, 2.0 + spec.tau):
+        assert lc_value(spec, point) == float(_masked_lc_value(spec, point)[0])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [LinearCoreSpec(BaseLoss.exponential(), tau=900.0)])
+def test_float_derivative_fast_path_matches_array_path(spec):
+    """Every float returns the same value or raises the same error as a 1-element array."""
+    rng = np.random.default_rng(18)
+    points = list(spec_grid(spec, n=201)) + list(rng.normal(scale=4.0, size=200))
+    points += [np.nextafter(spec.tau, np.inf), np.nextafter(-spec.tau, -np.inf), -800.0, 800.0]
+    for point in points:
+        for value in (float(point), np.float64(point)):
+            try:
+                want = lc_derivative(spec, np.array([value]))[0]
+            except EvaluationOverflowError:
+                with pytest.raises(EvaluationOverflowError):
+                    lc_derivative(spec, value)
+                continue
+            got = lc_derivative(spec, value)
+            assert type(got) is float and got == want
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            lc_derivative(spec, bad)

@@ -121,14 +121,25 @@ class TestConditionalRegrets:
     @pytest.mark.parametrize("side", [SYMMETRIC, ONE_SIDED])
     @pytest.mark.parametrize("kind", ["logistic", "exponential"])
     def test_pointwise_consistency_inequality(self, kind, side):
+        """300 draws, grouped by class count into one batched call each; the
+        first few draws also go through the single-input path."""
         spec = LinearCoreSpec(BaseLoss(kind), side=side)
         rng = np.random.default_rng(8)
-        for _ in range(300):
+        draws: dict[int, list] = {}
+        for i in range(300):
             n = int(rng.integers(2, 6))
             p = rng.dirichlet(np.ones(n))
             scores = rng.normal(scale=2.0, size=n)
+            draws.setdefault(n, []).append((p, scores))
+            if i < 3:
+                regret_01, regret_sur = mc_conditional_regrets(spec, p, scores)
+                assert regret_01 <= regret_sur + 1e-8
+        assert sum(len(group) for group in draws.values()) == 300
+        for group in draws.values():
+            p, scores = (np.stack(part) for part in zip(*group))
             regret_01, regret_sur = mc_conditional_regrets(spec, p, scores)
-            assert regret_01 <= regret_sur + 1e-8
+            assert regret_01.shape == (len(group),)
+            assert np.all(regret_01 <= regret_sur + 1e-8)
 
     def test_size_guard(self):
         p = np.ones(9) / 9

@@ -23,7 +23,12 @@ from lincore import (
     structured_sum_loss_gradient_exact,
     weights_to_model,
 )
-from lincore.structured import all_sequence_scores, enumerate_sequences, validate_loss_matrix
+from lincore.structured import (
+    _chain_scores,
+    all_sequence_scores,
+    enumerate_sequences,
+    validate_loss_matrix,
+)
 
 EXP_SYM = LinearCoreSpec(BaseLoss.exponential())
 LOG_ONE = LinearCoreSpec(BaseLoss.logistic(), side=ONE_SIDED)
@@ -206,15 +211,26 @@ class TestStructuredRegrets:
 
     @pytest.mark.parametrize("side_spec", [EXP_SYM, LOG_ONE], ids=["exp-sym", "log-one"])
     def test_pointwise_consistency_inequality(self, side_spec):
+        """300 draws, grouped by label count into one batched call each; the
+        first few draws also go through the single-input path."""
         rng = np.random.default_rng(9)
-        for _ in range(300):
+        draws: dict[int, list] = {}
+        for i in range(300):
             n = int(rng.integers(3, 7))
             p = rng.dirichlet(np.ones(n))
             scores = rng.normal(scale=2.0, size=n)
             ell = rng.uniform(0, 1, size=(n, n))
             np.fill_diagonal(ell, 0.0)
+            draws.setdefault(n, []).append((p, scores, ell))
+            if i < 3:
+                regret_target, regret_sur = structured_conditional_regrets(side_spec, p, scores, ell)
+                assert regret_target <= regret_sur + 1e-8
+        assert sum(len(group) for group in draws.values()) == 300
+        for group in draws.values():
+            p, scores, ell = (np.stack(part) for part in zip(*group))
             regret_target, regret_sur = structured_conditional_regrets(side_spec, p, scores, ell)
-            assert regret_target <= regret_sur + 1e-8
+            assert regret_target.shape == (len(group),)
+            assert np.all(regret_target <= regret_sur + 1e-8)
 
     def test_zero_one_matrix_reduces_to_multiclass(self):
         rng = np.random.default_rng(10)
@@ -336,3 +352,64 @@ class TestBatchedStructuredRegrets:
         big = np.stack([1.0 - np.eye(9)] * 2)
         with pytest.raises(EnumerationLimitError):
             structured_conditional_regrets(EXP_SYM, np.full((2, 9), 1 / 9), np.zeros((2, 9)), big)
+
+
+class TestBatchedSumLoss:
+    @pytest.mark.parametrize("spec", [EXP_SYM, LOG_ONE], ids=["exp-sym", "log-one"])
+    def test_rows_match_single_calls_bitwise(self, spec):
+        rng = np.random.default_rng(31)
+        for n, length, count in ((2, 1, 3), (3, 4, 7), (4, 3, 1), (2, 6, 5)):
+            model = random_model(rng, n, 3, scale=0.3)
+            x = rng.normal(size=(count, length, 3))
+            y = rng.integers(0, n, size=(count, length))
+            values = structured_sum_loss_exact(spec, model, x, y)
+            assert values.shape == (count,)
+            for k in range(count):
+                single = structured_sum_loss_exact(spec, model, x[k], y[k])
+                assert isinstance(single, float)
+                assert np.float64(single).tobytes() == values[k].tobytes()
+
+    def test_chunked_rows_match_single_calls_bitwise(self, monkeypatch):
+        """Blocks split both the anchors and the instances at the budget."""
+        import lincore.structured as structured_module
+
+        rng = np.random.default_rng(32)
+        model = random_model(rng, 3, 2, scale=0.4)
+        x = rng.normal(size=(5, 4, 2))
+        y = rng.integers(0, 3, size=(5, 4))
+        for budget in (7 * 81, 2 * 81 * 81, 3 * 81 * 81):
+            monkeypatch.setattr(structured_module, "_CHUNK_ELEMENTS", budget)
+            values = structured_sum_loss_exact(LOG_ONE, model, x, y)
+            singles = [structured_sum_loss_exact(LOG_ONE, model, x[k], y[k]) for k in range(5)]
+            assert values.tobytes() == np.array(singles).tobytes()
+
+    def test_batched_scores_match_single_rows_bitwise(self):
+        rng = np.random.default_rng(33)
+        model = random_model(rng, 4, 5)
+        seqs = enumerate_sequences(4, 3)
+        x = rng.normal(size=(6, 3, 5))
+        rows = _chain_scores(model, x, seqs)
+        for k in range(6):
+            assert rows[k].tobytes() == all_sequence_scores(model, x[k], seqs).tobytes()
+
+    def test_batch_validation(self):
+        model = ChainModel.zeros(3, 2)
+        x = np.zeros((2, 4, 2))
+        with pytest.raises(DomainError):
+            structured_sum_loss_exact(LOG_ONE, model, x, np.zeros((2, 3), dtype=int))
+        with pytest.raises(DomainError):
+            structured_sum_loss_exact(LOG_ONE, model, x, np.zeros(4, dtype=int))
+        with pytest.raises(DomainError):
+            structured_sum_loss_exact(LOG_ONE, model, x, np.array([[0, 0, 0, 0], [0, 3, 0, 0]]))
+        with pytest.raises(DomainError):
+            structured_sum_loss_exact(LOG_ONE, model, np.zeros((0, 4, 2)), np.zeros((0, 4), dtype=int))
+        with pytest.raises(DomainError):
+            structured_sum_loss_exact(LOG_ONE, model, np.zeros((2, 4, 3)), np.zeros((2, 4), dtype=int))
+        bad = x.copy()
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(DomainError):
+            structured_sum_loss_exact(LOG_ONE, model, bad, np.zeros((2, 4), dtype=int))
+        with pytest.raises(EnumerationLimitError):
+            structured_sum_loss_exact(
+                LOG_ONE, ChainModel.zeros(5, 2), np.zeros((2, 6, 2)), np.zeros((2, 6), dtype=int)
+            )

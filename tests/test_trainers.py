@@ -28,8 +28,10 @@ from lincore import (
     sequence_score,
     sgd_train,
     ssvm_loss_and_subgradient,
+    structured_sum_loss_exact,
     structured_sum_loss_gradient_exact,
     uniform_negative_gradient_exact,
+    viterbi,
 )
 from lincore import trainers
 from lincore.rng import DOMAIN_DIAGNOSTIC, DOMAIN_TRAIN_SAMPLE, stream_rng
@@ -353,6 +355,17 @@ class TestSgdTrain:
             TrainConfig(objective="perceptron")
         with pytest.raises(DomainError):
             TrainConfig(eta=-0.1)
+        # Evaluation without instances recorded NaN objectives; iterations
+        # index the stream keys, which take one 32-bit word.
+        for bad in (
+            dict(eval_interval=10, eval_max_instances=0),
+            dict(eval_interval=1, eval_max_instances=-3),
+            dict(iterations=2**32),
+        ):
+            with pytest.raises(DomainError):
+                TrainConfig(**bad)
+        TrainConfig(eval_interval=0, eval_max_instances=0)
+        TrainConfig(eval_interval=10, eval_max_instances=1, iterations=2**32 - 1)
 
     def test_crf_learns_tiny_problem(self):
         data = tiny_data(n_train=40, n_test=12)
@@ -505,3 +518,41 @@ def test_pair_step_and_estimator_share_one_sampler(monkeypatch, inner):
         assert np.array_equal(competitor, estimate.inner)
         updates += 1
     assert updates > 250
+
+
+def _decode_error_reference(model, instances):
+    """Per-instance public Viterbi, as the mean of Hamming losses."""
+    return float(np.mean([hamming_loss(viterbi(model, x)[0], y) for x, y in instances]))
+
+
+def test_batched_test_error_matches_single_decodes():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n, dim = int(rng.integers(2, 6)), 3
+        # Integer weights on integer inputs make exact ties common.
+        scale = 1 if trial % 2 else 0.5
+        model = ChainModel(
+            np.round(rng.normal(size=(n, dim)) / scale) * scale,
+            np.round(rng.normal(size=(n, n)) / scale) * scale,
+        )
+        instances = []
+        for _ in range(int(rng.integers(1, 12))):
+            length = int(rng.integers(1, 5))
+            x = rng.integers(-1, 2, size=(length, dim)).astype(float)
+            instances.append((x, rng.integers(0, n, size=length)))
+        assert trainers.test_hamming_error(model, instances) == _decode_error_reference(model, instances)
+    zero = ChainModel.zeros(3, 2)
+    ties = [(np.zeros((4, 2)), np.array([0, 0, 1, 2])), (np.zeros((4, 2)), np.zeros(4, int))]
+    assert trainers.test_hamming_error(zero, ties) == 0.25
+
+
+def test_batched_evaluation_matches_single_calls():
+    """The recorded objective is the mean of per-instance exact sum losses."""
+    data = tiny_data(seed=4, n_train=10, n_test=0, length=3, n_labels=3, dim=2)
+    short = [(x[:2], y[:2]) for x, y in tiny_data(seed=5, n_train=5, n_test=0, n_labels=3, dim=2).train]
+    instances = [(np.asarray(x), np.asarray(y)) for x, y in data.train[:4] + short + data.train[4:]]
+    rng = np.random.default_rng(6)
+    model = ChainModel(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
+    config = TrainConfig(objective="lincore")
+    want = float(np.mean([structured_sum_loss_exact(config.spec, model, x, y) for x, y in instances]))
+    assert trainers._mean_objective("lincore", model, instances, config) == want
