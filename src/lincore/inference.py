@@ -51,55 +51,45 @@ def _unary_table(model: ChainModel, x: np.ndarray) -> np.ndarray:
     return x @ model.unary.T  # (L, Y)
 
 
-def _viterbi_tables(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, float]:
-    length, n = unary.shape
-    cand = np.empty_like(transition)  # (from, to)
-    cols = np.arange(n)
-    back = np.empty((length, n), dtype=np.int64)
-    dp = unary[0].copy()
-    for j in range(1, length):
-        np.add(dp[:, None], transition, out=cand)
-        pred = back[j]
-        cand.argmax(axis=0, out=pred)
-        dp = cand[pred, cols]
-        dp += unary[j]
-    best = np.empty(length, dtype=np.int64)
-    best[-1] = dp.argmax()
-    for j in range(length - 1, 0, -1):
-        best[j - 1] = back[j, best[j]]
-    return best, float(dp[best[-1]])
+def _viterbi(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one Viterbi recursion: best paths ``(N, L)`` and scores ``(N,)``
+    of ``(N, L, Y)`` unary tables under one ``(Y, Y)`` transition matrix.
 
-
-def _viterbi_batch(unary: np.ndarray, transition: np.ndarray) -> np.ndarray:
-    """Best paths of ``(N, L, Y)`` unary tables, row ``i`` bitwise
-    ``_viterbi_tables(unary[i], transition)[0]``.
-
-    The same candidate sums, first-index ties and back-pointers, with the
-    batch axis in front.  Single decodes keep :func:`_viterbi_tables`,
-    which is faster at one input.
+    Candidates ``dp[from] + T[from, to]`` are laid out as ``(instance, to,
+    from)``, so each argmax (ties to the first index) runs along a
+    contiguous row; the chosen value and the backtrack's pointers come back
+    with flat takes.  A row decodes the same bits alone or in any batch.
+    Callers validate first.
     """
     count, length, n = unary.shape
-    rows, cols = np.arange(count), np.arange(n)
-    cand = np.empty((count, n, n))  # (instance, from, to)
-    back = np.empty((length, count, n), dtype=np.int64)
+    to_from = np.ascontiguousarray(transition.T)
+    cand = np.empty((count, n, n))  # (instance, to, from)
+    rows = cand.reshape(count * n, n)
+    row_starts = np.arange(0, count * n * n, n)
+    chosen = np.empty(count * n, dtype=np.int64)
+    back = np.empty((length, count * n), dtype=np.int64)
     dp = unary[:, 0].copy()
-    for j in range(1, length):
-        np.add(dp[:, :, None], transition, out=cand)
-        pred = back[j]
-        cand.argmax(axis=1, out=pred)
-        dp = cand[rows[:, None], pred, cols]
+    dp_flat, dp_from = dp.reshape(-1), dp[:, None, :]
+    for j, pred in enumerate(back[1:], start=1):
+        np.add(dp_from, to_from, out=cand)
+        rows.argmax(axis=1, out=pred)
+        np.add(pred, row_starts, out=chosen)
+        rows.take(chosen, out=dp_flat, mode="clip")  # in range; "raise" would buffer
         dp += unary[:, j]
-    best = np.empty((count, length), dtype=np.int64)
-    best[:, -1] = dp.argmax(axis=1)
+    starts = row_starts[:count]  # each instance's first entry in dp and back rows
+    best = np.empty((length, count), dtype=np.int64)
+    dp.argmax(axis=1, out=best[-1])
+    scores = dp_flat.take(starts + best[-1])
     for j in range(length - 1, 0, -1):
-        best[:, j - 1] = back[j, rows, best[:, j]]
-    return best
+        back[j].take(starts + best[j], out=best[j - 1], mode="clip")
+    return best.T, scores
 
 
 def viterbi(model: ChainModel, x) -> tuple[np.ndarray, float]:
     """Highest-scoring label sequence and its score."""
     x, _ = _check_instance(model, x)
-    return _viterbi_tables(_unary_table(model, x), model.transition)
+    paths, scores = _viterbi(_unary_table(model, x)[None], model.transition)
+    return paths[0], float(scores[0])
 
 
 def loss_augmented_viterbi(model: ChainModel, x, y_true) -> tuple[np.ndarray, float]:
@@ -112,7 +102,8 @@ def loss_augmented_viterbi(model: ChainModel, x, y_true) -> tuple[np.ndarray, fl
     length = x.shape[0]
     unary = _unary_table(model, x) + 1.0 / length
     unary[np.arange(length), y_true] -= 1.0 / length
-    return _viterbi_tables(unary, model.transition)
+    paths, scores = _viterbi(unary[None], model.transition)
+    return paths[0], float(scores[0])
 
 
 @dataclass(frozen=True)

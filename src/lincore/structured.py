@@ -88,6 +88,14 @@ def weights_to_model(weights: np.ndarray, n_labels: int, dim: int) -> ChainModel
     return ChainModel(unary.copy(), transition.copy())
 
 
+def _integer_labels(y) -> np.ndarray:
+    """Labels as int64; a float label would otherwise be truncated silently."""
+    labels = np.asarray(y)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
 def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -98,10 +106,10 @@ def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarra
         raise DomainError("inputs must be finite")
     if y is None:
         return x, None
-    y = np.asarray(y, dtype=np.int64)
+    y = _integer_labels(y)
     if y.shape != (x.shape[0],):
         raise DomainError("label sequence length must match the input length")
-    if y.min() < 0 or y.max() >= model.n_labels:
+    if y.view(np.uint64).max() >= model.n_labels:  # a negative label views above any count
         raise DomainError("label out of range")
     return x, y
 
@@ -143,7 +151,7 @@ def sequence_score(model: ChainModel, x, y) -> float:
 def joint_feature(n_labels: int, x, y) -> np.ndarray:
     """Flat feature map phi(x, y) with score(x, y) = weights . phi(x, y)."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = _integer_labels(y)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DomainError("need (length, dim) inputs and a matching label sequence")
     if np.any((y < 0) | (y >= n_labels)):

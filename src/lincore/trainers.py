@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, EnumerationLimitError, TrainingDivergedError
 from .inference import (
     _unary_table,
-    _viterbi_batch,
+    _viterbi,
     crf_nll_and_gradient,
     hinge_violation,
     ssvm_loss_and_subgradient,
@@ -57,6 +57,7 @@ from .structured import (
     FeatureDelta,
     _chain_scores,
     _check_instance,
+    _integer_labels,
     _touched,
     all_sequence_scores,
     enumerate_sequences,
@@ -352,10 +353,10 @@ class SequenceData:
     def label_count(self) -> int:
         if self.n_labels is not None:
             return int(self.n_labels)
-        largest = 0
-        for x, y in list(self.train) + list(self.test):
-            largest = max(largest, int(np.max(np.asarray(y, dtype=np.int64))))
-        return max(largest + 1, 2)
+        labels = [_integer_labels(y) for _, y in list(self.train) + list(self.test)]
+        if any(y.size == 0 for y in labels):
+            raise DomainError("label sequences must be non-empty")
+        return max(max((int(y.max()) for y in labels), default=0) + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ def test_hamming_error(model: ChainModel, instances) -> float:
     errors = np.empty(len(instances))
     for positions in _length_groups(instances):
         unary = np.stack([_unary_table(model, instances[i][0]) for i in positions])
-        paths = _viterbi_batch(unary, model.transition)
+        paths = _viterbi(unary, model.transition)[0]
         errors[positions] = np.mean(paths != _stack(instances, positions, 1), axis=1)
     return float(np.mean(errors))
 

@@ -250,29 +250,39 @@ class TestSsvm:
 
 
 def test_inference_kernels_scale_quadratically_in_labels():
-    """Log-time vs log-labels slope sits in the quadratic band at fixed length."""
+    """Log-time vs log-labels slope sits in the quadratic band at fixed length.
+
+    The time at Y=2 is the per-call overhead (validation, set-up and the
+    O(length) loop); it is taken off every time before the fit, so a faster
+    Y^2 term cannot read as sub-quadratic scaling.  Each time is the fastest
+    of 28 calls, made in short runs that take turns across the sizes: a busy
+    machine only ever adds time, and a slow spell lands on every size.
+    """
     import time
 
     rng = np.random.default_rng(11)
     length, dim = 20, 20
-    sizes = (50, 100, 200, 400)
+    floor, sizes = 2, (50, 100, 200, 400)
     for kernel in ("loss_augmented_viterbi", "forward_backward"):
-        medians = []
-        for n in sizes:
+        cases = []
+        for n in (floor, *sizes):
             model = ChainModel(rng.normal(size=(n, dim)), rng.normal(size=(n, n)))
-            x = rng.normal(size=(length, dim))
-            y = rng.integers(0, n, size=length)
-            samples = []
-            for rep in range(28):
-                tick = time.perf_counter()
-                if kernel == "loss_augmented_viterbi":
-                    loss_augmented_viterbi(model, x, y)
-                else:
-                    forward_backward(model, x)
-                samples.append(time.perf_counter() - tick)
-            medians.append(float(np.median(samples[4:])))
-        slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
-        assert 1.6 <= slope <= 2.4, f"{kernel}: slope {slope:.2f}, times {medians}"
+            cases.append((model, rng.normal(size=(length, dim)), rng.integers(0, n, size=length)))
+        times = np.full(len(cases), np.inf)
+        for _ in range(7):
+            for k, (model, x, y) in enumerate(cases):
+                for _ in range(4):
+                    tick = time.perf_counter()
+                    if kernel == "loss_augmented_viterbi":
+                        loss_augmented_viterbi(model, x, y)
+                    else:
+                        forward_backward(model, x)
+                    times[k] = min(times[k], time.perf_counter() - tick)
+        overhead, quadratic = times[0], times[1:] - times[0]
+        slope = float(np.polyfit(np.log(sizes), np.log(quadratic), 1)[0])
+        assert 1.6 <= slope <= 2.4, (
+            f"{kernel}: slope {slope:.2f}, overhead {overhead}, times {times[1:]}"
+        )
 
 
 def test_forward_backward_marginals_match_enumeration():
@@ -431,8 +441,8 @@ def test_scaled_and_log_space_recursions_agree():
 
 
 def test_batched_viterbi_matches_single_decodes_including_ties():
-    """Row i of the batched decoder is _viterbi_tables' path for unary[i],
-    with the same first-index ties."""
+    """Row i of the one kernel is the allocating reference's path and score
+    for unary[i], with the same first-index ties, in a batch and alone."""
     rng = np.random.default_rng(41)
     for trial in range(60):
         n, length, count = int(rng.integers(2, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
@@ -443,9 +453,14 @@ def test_batched_viterbi_matches_single_decodes_including_ties():
         else:
             unary = rng.normal(size=(count, length, n))
             transition = rng.normal(size=(n, n))
-        paths = inference._viterbi_batch(unary, transition)
-        assert paths.shape == (count, length)
+        paths, scores = inference._viterbi(unary, transition)
+        assert paths.shape == (count, length) and scores.shape == (count,)
         for k in range(count):
-            np.testing.assert_array_equal(paths[k], inference._viterbi_tables(unary[k], transition)[0])
-    flat = inference._viterbi_batch(np.zeros((3, 4, 5)), np.zeros((5, 5)))
-    np.testing.assert_array_equal(flat, np.zeros((3, 4), dtype=np.int64))
+            want_path, want = _allocating_viterbi(unary[k], transition)
+            alone_paths, alone_scores = inference._viterbi(unary[k : k + 1], transition)
+            for path, score in ((paths[k], scores[k]), (alone_paths[0], alone_scores[0])):
+                np.testing.assert_array_equal(path, want_path)
+                assert score == want and np.signbit(score) == np.signbit(want)
+    flat_paths, flat_scores = inference._viterbi(np.zeros((3, 4, 5)), np.zeros((5, 5)))
+    np.testing.assert_array_equal(flat_paths, np.zeros((3, 4), dtype=np.int64))
+    np.testing.assert_array_equal(flat_scores, np.zeros(3))

@@ -314,6 +314,12 @@ def test_joint_feature_rejects_labels_out_of_range():
         joint_feature(3, np.ones((2, 2)), [0, 3])
 
 
+def test_joint_feature_rejects_float_labels():
+    """A float label used to be truncated to the integer below it."""
+    with pytest.raises(DomainError):
+        joint_feature(3, np.ones((2, 2)), [0.5, 1.0])
+
+
 class TestBatchedStructuredRegrets:
     def test_nan_probability_raises(self):
         """A NaN in p used to pass the sum check and return (nan, nan)."""

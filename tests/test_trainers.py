@@ -34,7 +34,14 @@ from lincore import (
     viterbi,
 )
 from lincore import trainers
-from lincore.rng import DOMAIN_DIAGNOSTIC, DOMAIN_TRAIN_SAMPLE, stream_rng
+from lincore.rng import (
+    DOMAIN_DIAGNOSTIC,
+    DOMAIN_TRAIN_SAMPLE,
+    keyed_rng,
+    rekey,
+    stream_keys,
+    stream_rng,
+)
 from lincore.structured import all_sequence_scores, enumerate_sequences
 from lincore.trainers import (
     NEIGHBOR,
@@ -169,12 +176,12 @@ class TestPairEstimator:
         y = rng.integers(0, 2, size=3)
         proposal = PairProposal(0.4, NEIGHBOR)
         target = exact_pair_estimator_expectation(model, x, y, ONE_LOG, proposal)
+        # Draw i is the stream_rng(5, DOMAIN_DIAGNOSTIC, i) stream, keyed in one pass.
+        rng = keyed_rng()
         draws = np.stack(
             [
-                lc_pair_gradient_estimate(
-                    model, x, y, ONE_LOG, proposal, stream_rng(5, DOMAIN_DIAGNOSTIC, i)
-                ).gradient
-                for i in range(60000)
+                lc_pair_gradient_estimate(model, x, y, ONE_LOG, proposal, rekey(rng, key)).gradient
+                for key in stream_keys(5, DOMAIN_DIAGNOSTIC, np.arange(60000))
             ]
         )
         mean = draws.mean(axis=0)
@@ -453,6 +460,8 @@ def _bad_instance(kind, n_labels=3):
         y = np.array([0, -1, 2])
     elif kind == "label_too_large":
         y = np.array([0, n_labels, 2])
+    elif kind == "float_label":
+        y = np.array([0.0, 1.5, 2.0])
     elif kind == "length_mismatch":
         y = np.array([0, 1])
     elif kind == "dim_mismatch":
@@ -464,7 +473,8 @@ def _bad_instance(kind, n_labels=3):
 
 @pytest.mark.parametrize("objective", ["lincore", "lincore_ksample", "ssvm", "crf"])
 @pytest.mark.parametrize(
-    "kind", ["negative_label", "label_too_large", "length_mismatch", "dim_mismatch", "non_finite"]
+    "kind",
+    ["negative_label", "label_too_large", "float_label", "length_mismatch", "dim_mismatch", "non_finite"],
 )
 def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch, objective, kind):
     """The pair samplers used to train on a -1 label, wrapped to the last one."""
@@ -477,6 +487,29 @@ def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch,
     bad = SequenceData(train=data.train + [_bad_instance(kind)], test=data.test, n_labels=3)
     with pytest.raises(DomainError):
         sgd_train(bad, TrainConfig(objective=objective, iterations=50))
+
+
+def test_float_labels_rejected_instead_of_truncated():
+    """Float labels used to be cast to int64: [0.5, 1.7] trained as [0, 1]."""
+    data = SequenceData(train=[(np.zeros((2, 2)), np.array([0.5, 1.7]))])
+    with pytest.raises(DomainError, match="integers"):
+        sgd_train(data, TrainConfig(iterations=2))
+    with pytest.raises(DomainError, match="integers"):
+        loss_augmented_viterbi(ChainModel.zeros(3, 2), np.zeros((2, 2)), [0.7, 1.2])
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_empty_label_sequence_rejected(split):
+    """Inferring the label count from an empty sequence used to raise numpy's
+    bare ValueError before any instance was checked."""
+    empty = (np.zeros((0, 2)), np.array([], dtype=np.int64))
+    good = (np.zeros((2, 2)), np.array([0, 1]))
+    data = {
+        "train": SequenceData(train=[good, empty], test=[good]),
+        "test": SequenceData(train=[good], test=[empty]),
+    }[split]
+    with pytest.raises(DomainError, match="non-empty"):
+        sgd_train(data, TrainConfig(iterations=2))
 
 
 @pytest.mark.parametrize("inner", [NEIGHBOR, UNIFORM_FULL])
