@@ -136,10 +136,10 @@ class LinearCoreSpec:
         return self.base.value_at_zero / self.base.slope_at_zero
 
 
-def _as_array(u, name: str = "u") -> tuple[np.ndarray, bool]:
+def _as_array(u) -> tuple[np.ndarray, bool]:
     arr = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
+        raise DomainError("u must be finite")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -147,66 +147,86 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr[0]) if scalar else arr
 
 
-def _softplus(u: np.ndarray) -> np.ndarray:
-    # log(1 + e^u) without overflow for large |u|.
-    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
+    """Unchecked Phi (``order`` 0), Phi' (1) or Phi'' (2) of a finite array."""
+    if base.kind == EXPONENTIAL:
+        return np.exp(arr)
+    if base.kind == LOGISTIC:
+        if order == 0:
+            # log(1 + e^u) without overflow for large |u|.
+            return np.maximum(arr, 0.0) + np.log1p(np.exp(-np.abs(arr)))
+        s = expit(arr)
+        return s if order == 1 else s * (1.0 - s)
+    if order == 0:
+        return base.a * arr + arr**4 / 12.0 + base.offset
+    return base.a + arr**3 / 3.0 if order == 1 else arr**2
+
+
+def _base_at(base: BaseLoss, u, order: int):
+    """The checked edge of the base kernel: one validation, then ``_base``."""
+    arr, scalar = _as_array(u)
+    if base.kind == EXPONENTIAL and arr.size and np.max(arr) > _EXP_INPUT_LIMIT:
+        raise EvaluationOverflowError(f"exponential base overflow at u={np.max(arr):.3g}")
+    return _maybe_scalar(_base(base, arr, order), scalar)
 
 
 def base_value(base: BaseLoss, u):
     """Evaluate Phi(u)."""
-    arr, scalar = _as_array(u)
-    if base.kind == LOGISTIC:
-        out = _softplus(arr)
-    elif base.kind == EXPONENTIAL:
-        if arr.size and np.max(arr) > _EXP_INPUT_LIMIT:
-            raise EvaluationOverflowError(
-                f"exponential base overflow at u={np.max(arr):.3g}"
-            )
-        out = np.exp(arr)
-    else:
-        out = base.a * arr + arr**4 / 12.0 + base.offset
-    return _maybe_scalar(out, scalar)
+    return _base_at(base, u, 0)
 
 
 def base_derivative(base: BaseLoss, u):
     """Evaluate Phi'(u)."""
-    arr, scalar = _as_array(u)
-    if base.kind == LOGISTIC:
-        out = expit(arr)
-    elif base.kind == EXPONENTIAL:
-        if arr.size and np.max(arr) > _EXP_INPUT_LIMIT:
-            raise EvaluationOverflowError(
-                f"exponential base overflow at u={np.max(arr):.3g}"
-            )
-        out = np.exp(arr)
-    else:
-        out = base.a + arr**3 / 3.0
-    return _maybe_scalar(out, scalar)
+    return _base_at(base, u, 1)
 
 
 def base_second_derivative(base: BaseLoss, u):
     """Evaluate Phi''(u)."""
-    arr, scalar = _as_array(u)
-    if base.kind == LOGISTIC:
-        s = expit(arr)
-        out = s * (1.0 - s)
-    elif base.kind == EXPONENTIAL:
-        if arr.size and np.max(arr) > _EXP_INPUT_LIMIT:
-            raise EvaluationOverflowError(
-                f"exponential base overflow at u={np.max(arr):.3g}"
-            )
-        out = np.exp(arr)
+    return _base_at(base, u, 2)
+
+
+def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = None) -> np.ndarray:
+    """Unchecked surrogate value (``order`` 0) or derivative (1, 2) of a finite array.
+
+    The core is ``-u + tau + c0`` with slope -1 and curvature 0.  The tails
+    are ``Phi^(order)(tau - u) / Phi'(0)`` on the right and
+    ``Phi^(order)(-tau - u) / Phi'(0)`` on the left, negated for the first
+    derivative and shifted by ``2*tau`` for the left value.  Knots take the
+    core, except that ``knot`` (``LEFT`` or ``RIGHT``) gives the knot on
+    that side to its tail.  The tails call ``_base`` directly: once
+    ``|u| <= 700`` both tail arguments are below 700 (the right one is
+    ``tau - u < 0``, the left one ``-tau - u < |u|``), so the base guard
+    cannot trip there.
+    """
+    tau, slope0 = spec.tau, spec.base.slope_at_zero
+    if order == 0:
+        # The affine core everywhere, in place, then the tails over their entries.
+        out = np.negative(arr)
+        out += tau
+        out += spec.intercept
     else:
-        out = arr**2
-    return _maybe_scalar(out, scalar)
+        out = np.full_like(arr, -1.0 if order == 1 else 0.0)
+    sign = -1.0 if order == 1 else 1.0
+    right = arr >= tau if knot == RIGHT else arr > tau
+    if np.any(right):
+        out[right] = sign * _base(spec.base, tau - arr[right], order) / slope0
+    if spec.side == SYMMETRIC:
+        left = arr <= -tau if knot == LEFT else arr < -tau
+        if np.any(left):
+            tail = sign * _base(spec.base, -tau - arr[left], order) / slope0
+            out[left] = tail + 2.0 * tau if order == 0 else tail
+    return out
 
 
-def _check_exp_input(spec: LinearCoreSpec, arr: np.ndarray) -> None:
+def _lc_at(spec: LinearCoreSpec, u, order: int, knot: str | None = None):
+    """The checked edge of the surrogate kernel: one validation, then ``_lc``."""
+    arr, scalar = _as_array(u)
     if spec.base.kind == EXPONENTIAL and arr.size and np.max(np.abs(arr)) > _EXP_INPUT_LIMIT:
         raise EvaluationOverflowError(
             "exponential-tail surrogate overflow: |u| > "
             f"{_EXP_INPUT_LIMIT:g} (got {np.max(np.abs(arr)):.3g})"
         )
+    return _maybe_scalar(_lc(spec, arr, order, knot), scalar)
 
 
 def lc_value(spec: LinearCoreSpec, u):
@@ -215,22 +235,7 @@ def lc_value(spec: LinearCoreSpec, u):
     Knots |u| == tau are evaluated from the affine core; the tail branches
     take the same value there, but the core avoids exponential calls.
     """
-    arr, scalar = _as_array(u)
-    _check_exp_input(spec, arr)
-    tau = spec.tau
-    slope0 = spec.base.slope_at_zero
-    # The affine core everywhere, then the tails over their entries.
-    out = np.negative(arr)
-    out += tau
-    out += spec.intercept
-    right = arr > tau
-    if np.any(right):
-        out[right] = base_value(spec.base, tau - arr[right]) / slope0
-    if spec.side == SYMMETRIC:
-        left = arr < -tau
-        if np.any(left):
-            out[left] = base_value(spec.base, -tau - arr[left]) / slope0 + 2.0 * tau
-    return _maybe_scalar(out, scalar)
+    return _lc_at(spec, u, 0)
 
 
 def _on_core(spec: LinearCoreSpec, u) -> bool:
@@ -256,20 +261,7 @@ def lc_derivative(spec: LinearCoreSpec, u):
     """
     if _on_core(spec, u):
         return -1.0
-    arr, scalar = _as_array(u)
-    _check_exp_input(spec, arr)
-    tau = spec.tau
-    slope0 = spec.base.slope_at_zero
-    out = np.full_like(arr, -1.0)
-
-    right = arr > tau
-    if np.any(right):
-        out[right] = -base_derivative(spec.base, tau - arr[right]) / slope0
-    if spec.side == SYMMETRIC:
-        left = arr < -tau
-        if np.any(left):
-            out[left] = -base_derivative(spec.base, -tau - arr[left]) / slope0
-    return _maybe_scalar(out, scalar)
+    return _lc_at(spec, u, 1)
 
 
 def lc_branch_second_derivative(spec: LinearCoreSpec, u, side_limit: str):
@@ -280,26 +272,7 @@ def lc_branch_second_derivative(spec: LinearCoreSpec, u, side_limit: str):
     """
     if side_limit not in (LEFT, RIGHT):
         raise DomainError(f"side_limit must be {LEFT!r} or {RIGHT!r}, got {side_limit!r}")
-    arr, scalar = _as_array(u)
-    _check_exp_input(spec, arr)
-    tau = spec.tau
-    slope0 = spec.base.slope_at_zero
-    from_left = side_limit == LEFT
-
-    # Branch selection: at a knot, the left limit uses the branch that lives
-    # just below the point, the right limit the branch just above it.
-    right_tail = arr >= tau if not from_left else arr > tau
-    if spec.side == ONE_SIDED:
-        left_tail = np.zeros_like(arr, dtype=bool)
-    else:
-        left_tail = arr <= -tau if from_left else arr < -tau
-
-    out = np.zeros_like(arr)
-    if np.any(right_tail):
-        out[right_tail] = base_second_derivative(spec.base, tau - arr[right_tail]) / slope0
-    if np.any(left_tail):
-        out[left_tail] = base_second_derivative(spec.base, -tau - arr[left_tail]) / slope0
-    return _maybe_scalar(out, scalar)
+    return _lc_at(spec, u, 2, side_limit)
 
 
 @dataclass(frozen=True)

@@ -71,47 +71,42 @@ def minimize_convex(
     at_edge = np.zeros(lo.shape, dtype=bool)
 
     if expand:
-        grow_left = derivative(lo) > 0.0
-        grow_right = derivative(hi) < 0.0
+        # Per side, left then right: the edge, its value, and where it still
+        # grows.  ``sign`` is the direction the edge moves; the edge is
+        # downhill while ``sign * derivative < 0``.
+        edges, f_edges = [lo, hi], [f_lo, f_hi]
+        grow = [derivative(lo) > 0.0, derivative(hi) < 0.0]
         for _ in range(max_doublings):
-            if not (np.any(grow_left) or np.any(grow_right)):
+            if not (np.any(grow[0]) or np.any(grow[1])):
                 break
-            width = hi - lo
-            if np.any((width > max_width) & (grow_left | grow_right)):
-                bad = np.nonzero((width > max_width) & (grow_left | grow_right))[0]
+            width = edges[1] - edges[0]
+            if np.any((width > max_width) & (grow[0] | grow[1])):
+                bad = np.nonzero((width > max_width) & (grow[0] | grow[1]))[0]
                 raise BracketSearchError(
                     f"bracket width exceeded {max_width:g} before the derivative "
                     f"changed sign for problem indices {bad[:8].tolist()}"
                 )
-            if np.any(grow_left):
-                new_lo = np.where(grow_left, lo - width, lo)
-                f_new = value(new_lo)
-                downhill = derivative(new_lo) > 0.0
-                stalled = grow_left & downhill & (f_lo - f_new < stall_tol)
+            for side, sign in enumerate((-1.0, 1.0)):
+                if not np.any(grow[side]):
+                    continue
+                new_edge = np.where(grow[side], edges[side] + sign * width, edges[side])
+                f_new = value(new_edge)
+                downhill = sign * derivative(new_edge) < 0.0
+                stalled = grow[side] & downhill & (f_edges[side] - f_new < stall_tol)
                 at_edge |= stalled
                 improved = f_new < best_val
-                best_arg = np.where(improved, new_lo, best_arg)
+                best_arg = np.where(improved, new_edge, best_arg)
                 best_val = np.minimum(best_val, f_new)
-                lo, f_lo = new_lo, f_new
-                grow_left &= ~stalled & downhill
-            if np.any(grow_right):
-                new_hi = np.where(grow_right, hi + width, hi)
-                f_new = value(new_hi)
-                downhill = derivative(new_hi) < 0.0
-                stalled = grow_right & downhill & (f_hi - f_new < stall_tol)
-                at_edge |= stalled
-                improved = f_new < best_val
-                best_arg = np.where(improved, new_hi, best_arg)
-                best_val = np.minimum(best_val, f_new)
-                hi, f_hi = new_hi, f_new
-                grow_right &= ~stalled & downhill
+                edges[side], f_edges[side] = new_edge, f_new
+                grow[side] &= ~stalled & downhill
         else:
-            bad = np.nonzero(grow_left | grow_right)[0]
+            bad = np.nonzero(grow[0] | grow[1])[0]
             if bad.size:
                 raise BracketSearchError(
                     f"bracket failed to close after {max_doublings} doublings "
                     f"for problem indices {bad[:8].tolist()}"
                 )
+        lo, hi = edges
 
     # Golden-section contraction.  Each iteration evaluates one new point
     # per problem and keeps the sub-interval containing the smaller value.

@@ -112,8 +112,12 @@ class GradEstimate:
 def corruption_probability(y: np.ndarray, y_prime: np.ndarray, n_labels: int, rate: float) -> float:
     """Exact outer-proposal probability of drawing ``y_prime`` from ``y``."""
     diff = int(np.sum(np.asarray(y) != np.asarray(y_prime)))
-    keep = len(y) - diff
-    return float((1.0 - rate) ** keep * (rate / (n_labels - 1)) ** diff)
+    return _corruption_probability(diff, len(y), n_labels, rate)
+
+
+def _corruption_probability(diff: int, length: int, n_labels: int, rate: float) -> float:
+    """Outer-proposal probability of a draw that differs from ``y`` in ``diff`` positions."""
+    return float((1.0 - rate) ** (length - diff) * (rate / (n_labels - 1)) ** diff)
 
 
 def sample_corruption(y: np.ndarray, n_labels: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -179,10 +183,12 @@ def _sample_pair(
     else:
         inner = sample_uniform_full(outer, n, rng)
         d2 = uniform_full_probability(y.size, n)
-    d1 = corruption_probability(y, outer, n, proposal.corruption_rate)
+    # One Hamming count gives both d1 and w1 = (1 - hamming_loss(outer, y)) / d1.
+    diff = int(np.count_nonzero(outer != y))
+    d1 = _corruption_probability(diff, y.size, n, proposal.corruption_rate)
     if d1 <= 0.0 or d2 <= 0.0:
         raise DomainError("degenerate proposal probability")
-    w1, w2 = (1.0 - hamming_loss(outer, y)) / d1, 1.0 / d2
+    w1, w2 = (1.0 - diff / y.size) / d1, 1.0 / d2
     if w1 == 0.0:
         return outer, inner, w1, w2, 0.0
     scores = _chain_scores(model, x, np.array([outer, inner]))
@@ -414,11 +420,11 @@ def _stack(instances, positions: np.ndarray, part: int) -> np.ndarray:
 def test_hamming_error(model: ChainModel, instances) -> float:
     """Mean Hamming loss of Viterbi decodes against the true sequences.
 
+    ``instances`` are the ``(x, y)`` arrays :func:`_check_instance` returns.
     Instances of equal length are decoded together in one batched Viterbi.
     """
     if not instances:
         return float("nan")
-    instances = [_check_instance(model, x, y) for x, y in instances]
     errors = np.empty(len(instances))
     for positions in _length_groups(instances):
         unary = np.stack([_unary_table(model, instances[i][0]) for i in positions])
@@ -495,8 +501,7 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     # Check every instance before the first step: the pair samplers index
     # weights by label directly, so a label such as -1 would wrap silently.
     train = [_check_instance(model, x, y) for x, y in data.train]
-    for x, y in data.test:
-        _check_instance(model, x, y)
+    test = [_check_instance(model, x, y) for x, y in data.test]
     proposal = PairProposal(config.corruption_rate, config.inner_proposal)
     eval_instances = train[: config.eval_max_instances]
 
@@ -522,7 +527,7 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
             HistoryRow(
                 iteration=iteration,
                 objective=objective,
-                test_error=test_hamming_error(model, data.test),
+                test_error=test_hamming_error(model, test),
                 seconds=time.perf_counter() - start,
             )
         )

@@ -168,23 +168,44 @@ class TestSmoothness:
             assert np.all(lc_value(sym, left) != lc_value(one, left))
 
 
-class TestGuards:
-    def test_non_finite_input_rejected(self):
-        spec = LinearCoreSpec(BaseLoss.logistic())
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                lc_value(spec, bad)
-            with pytest.raises(DomainError):
-                lc_derivative(spec, bad)
+# The six public functions as (spec, u) -> value, and the input forms they accept.
+PUBLIC = {
+    "base_value": lambda spec, u: base_value(spec.base, u),
+    "base_derivative": lambda spec, u: base_derivative(spec.base, u),
+    "base_second_derivative": lambda spec, u: base_second_derivative(spec.base, u),
+    "lc_value": lc_value,
+    "lc_derivative": lc_derivative,
+    "lc_branch_second_derivative": lambda spec, u: lc_branch_second_derivative(spec, u, LEFT),
+}
+FORMS = {"array": lambda v: np.array([0.0, v]), "float": float, "float64": np.float64}
 
-    def test_exponential_overflow_is_checked(self):
-        spec = LinearCoreSpec(BaseLoss.exponential())
-        with pytest.raises(EvaluationOverflowError):
-            lc_value(spec, -701.0)
-        with pytest.raises(EvaluationOverflowError):
-            base_value(BaseLoss.exponential(), 701.0)
-        # Logistic evaluates stably at the same magnitudes.
-        assert np.isfinite(lc_value(LinearCoreSpec(BaseLoss.logistic()), -701.0))
+
+class TestGuards:
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_non_finite_input_rejected(self, name, form):
+        for spec in ALL_SPECS:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="must be finite"):
+                    PUBLIC[name](spec, FORMS[form](bad))
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_exponential_overflow_is_checked(self, name, form):
+        """A base rejects u > 700; a surrogate rejects |u| > 700 on either side."""
+        fn, make = PUBLIC[name], FORMS[form]
+        surrogate = name.startswith("lc_")
+        for side in (SYMMETRIC, ONE_SIDED):
+            spec = LinearCoreSpec(BaseLoss.exponential(), side=side)
+            for point in (701.0, np.nextafter(700.0, np.inf)) + ((-701.0,) if surrogate else ()):
+                with pytest.raises(EvaluationOverflowError):
+                    fn(spec, make(point))
+            for point in (700.0, -700.0) + (() if surrogate else (-701.0,)):
+                assert np.all(np.isfinite(fn(spec, make(point))))
+            # Logistic evaluates stably at the same magnitudes.
+            spec = LinearCoreSpec(BaseLoss.logistic(), side=side)
+            assert np.all(np.isfinite(fn(spec, make(-701.0))))
+            assert np.all(np.isfinite(fn(spec, make(701.0))))
 
     def test_degenerate_width_rejected(self):
         with pytest.raises(DomainError):
@@ -234,13 +255,65 @@ def _masked_lc_value(spec, u):
     return out
 
 
+def _masked_lc_derivative(spec, u):
+    """The first derivative through boolean gathers, as a reference."""
+    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    tau, slope0 = spec.tau, spec.base.slope_at_zero
+    out = np.full_like(arr, -1.0)
+    right = arr > tau
+    if np.any(right):
+        out[right] = -base_derivative(spec.base, tau - arr[right]) / slope0
+    left = (arr < -tau) if spec.side == SYMMETRIC else np.zeros_like(right)
+    if np.any(left):
+        out[left] = -base_derivative(spec.base, -tau - arr[left]) / slope0
+    return out
+
+
+def _masked_lc_second_derivative(spec, u, side_limit):
+    """The second derivative of the branch approached from ``side_limit``, as a reference.
+
+    At a knot, the left limit takes the branch just below the point and the
+    right limit the branch just above it.
+    """
+    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    tau, slope0 = spec.tau, spec.base.slope_at_zero
+    out = np.zeros_like(arr)
+    right = (arr >= tau) if side_limit == RIGHT else (arr > tau)
+    left = ((arr <= -tau) if side_limit == LEFT else (arr < -tau)) & (spec.side == SYMMETRIC)
+    if np.any(right):
+        out[right] = base_second_derivative(spec.base, tau - arr[right]) / slope0
+    if np.any(left):
+        out[left] = base_second_derivative(spec.base, -tau - arr[left]) / slope0
+    return out
+
+
+# Each surrogate quantity with its masked reference, both as (spec, u) -> value.
+MASKED = {
+    "value": (lc_value, _masked_lc_value),
+    "derivative": (lc_derivative, _masked_lc_derivative),
+    "second_left": (
+        lambda spec, u: lc_branch_second_derivative(spec, u, LEFT),
+        lambda spec, u: _masked_lc_second_derivative(spec, u, LEFT),
+    ),
+    "second_right": (
+        lambda spec, u: lc_branch_second_derivative(spec, u, RIGHT),
+        lambda spec, u: _masked_lc_second_derivative(spec, u, RIGHT),
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", MASKED)
 @pytest.mark.parametrize("spec", ALL_SPECS + [LinearCoreSpec(BaseLoss.logistic(), tau=0.3)])
-def test_in_place_core_matches_masked_reference_bitwise(spec):
+def test_surrogate_matches_masked_reference_bitwise(spec, quantity):
+    fn, reference = MASKED[quantity]
     rng = np.random.default_rng(17)
     u = np.concatenate([spec_grid(spec), rng.normal(scale=5.0, size=500)]).reshape(-1, 8)
-    assert lc_value(spec, u).tobytes() == _masked_lc_value(spec, u).reshape(u.shape).tobytes()
+    assert fn(spec, u).tobytes() == reference(spec, u).reshape(u.shape).tobytes()
     for point in (0.0, spec.tau, -spec.tau, 0.5 * spec.tau, -3.0 - spec.tau, 2.0 + spec.tau):
-        assert lc_value(spec, point) == float(_masked_lc_value(spec, point)[0])
+        for value in (point, np.float64(point)):
+            got = fn(spec, value)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == reference(spec, point).tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [LinearCoreSpec(BaseLoss.exponential(), tau=900.0)])

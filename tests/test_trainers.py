@@ -42,7 +42,7 @@ from lincore.rng import (
     stream_keys,
     stream_rng,
 )
-from lincore.structured import all_sequence_scores, enumerate_sequences
+from lincore.structured import _check_instance, all_sequence_scores, enumerate_sequences
 from lincore.trainers import (
     NEIGHBOR,
     UNIFORM_FULL,
@@ -487,6 +487,21 @@ def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch,
     bad = SequenceData(train=data.train + [_bad_instance(kind)], test=data.test, n_labels=3)
     with pytest.raises(DomainError):
         sgd_train(bad, TrainConfig(objective=objective, iterations=50))
+
+
+def test_evaluations_reuse_the_checked_instances(monkeypatch):
+    """Each train and test instance is validated once, however often the run evaluates."""
+    checks = []
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return _check_instance(*args, **kwargs)
+
+    monkeypatch.setattr(trainers, "_check_instance", counting_check)
+    data = tiny_data(seed=3, n_train=7, n_test=5, n_labels=3)
+    result = sgd_train(data, TrainConfig(objective="lincore", iterations=20, eval_interval=4))
+    assert len(result.history) == 6
+    assert len(checks) == len(data.train) + len(data.test)
 
 
 def test_float_labels_rejected_instead_of_truncated():
