@@ -34,7 +34,6 @@ from .structured import (
     _chain_scores,
     _check_instance,
     feature_difference,
-    joint_feature,
 )
 
 # Potential range (nats) up to which the scaled recursion stays inside the
@@ -127,16 +126,18 @@ class _ScaledChain:
     log_partition: float
 
 
-def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _ScaledChain | None:
-    """Scaled recursion, or ``None`` when the potential range ``R`` is too
-    wide for it (or not a number)."""
+def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple | None:
+    """Forward half of the scaled recursion: ``(alpha, kernel, psi, scale,
+    log_partition)``, or ``None`` when the potential range ``R`` is too wide
+    for it (or not a number)."""
     length, n = unary.shape
     t_shift = transition.max()
     u_shift = unary.max(axis=1)
     spread = (t_shift - transition.min()) + (u_shift - unary.min(axis=1)).max()
     if not spread <= _SCALED_RANGE_LIMIT:
         return None
-    kernel = np.exp(transition - t_shift)
+    kernel = np.subtract(transition, t_shift)
+    np.exp(kernel, out=kernel)
     psi = np.exp(unary - u_shift[:, None])
 
     alpha = np.empty((length, n))
@@ -149,27 +150,39 @@ def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _Scal
             message *= psi[j]
         scale[j] = message.sum()
         message /= scale[j]
+    log_partition = float(np.log(scale).sum() + u_shift.sum() + (length - 1) * t_shift)
+    return alpha, kernel, psi, scale, log_partition
 
+
+def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _ScaledChain | None:
+    """Scaled recursion, or ``None`` when the potential range is too wide for it."""
+    forward = _scaled_forward(unary, transition)
+    if forward is None:
+        return None
+    alpha, kernel, psi, scale, log_partition = forward
     edge_weights = psi[1:] / scale[1:, None]
-    beta = np.empty((length, n))
+    beta = np.empty_like(alpha)
     beta[-1] = 1.0
-    for j in range(length - 2, -1, -1):
+    for j in range(alpha.shape[0] - 2, -1, -1):
         weights = edge_weights[j]
         weights *= beta[j + 1]
         np.dot(kernel, weights, out=beta[j])
-    log_partition = float(np.log(scale).sum() + u_shift.sum() + (length - 1) * t_shift)
     return _ScaledChain(alpha, beta, kernel, edge_weights, log_partition)
+
+
+def _log_space_forward(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, float]:
+    """Forward half of the log-space recursion: log ``alpha`` and ``log Z``."""
+    alpha = np.empty_like(unary)
+    alpha[0] = unary[0]
+    for j in range(1, unary.shape[0]):
+        alpha[j] = unary[j] + _logsumexp(alpha[j - 1][:, None] + transition, axis=0)
+    return alpha, float(_logsumexp(alpha[-1], axis=0))
 
 
 def _log_space_forward_backward(unary: np.ndarray, transition: np.ndarray) -> Marginals:
     """Max-shifted log-sum-exp recursion for potentials beyond the scaled range."""
     length, n = unary.shape
-    alpha = np.empty((length, n))
-    alpha[0] = unary[0]
-    for j in range(1, length):
-        alpha[j] = unary[j] + _logsumexp(alpha[j - 1][:, None] + transition, axis=0)
-    log_partition = float(_logsumexp(alpha[-1], axis=0))
-
+    alpha, log_partition = _log_space_forward(unary, transition)
     beta = np.zeros((length, n))
     for j in range(length - 2, -1, -1):
         beta[j] = _logsumexp(transition + (unary[j + 1] + beta[j + 1])[None, :], axis=1)
@@ -198,31 +211,61 @@ def forward_backward(model: ChainModel, x) -> Marginals:
     return Marginals(chain.alpha * chain.beta, edges, chain.log_partition)
 
 
-def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of ``y`` and its exact flat-weight gradient.
+def _crf_nll(model: ChainModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Unchecked CRF negative log-likelihood ``log Z - score(y)`` from the
+    forward pass alone.  Callers validate first."""
+    unary = _unary_table(model, x)
+    forward = _scaled_forward(unary, model.transition)
+    if forward is None:
+        log_partition = _log_space_forward(unary, model.transition)[1]
+    else:
+        log_partition = forward[-1]
+    return float(log_partition - _chain_scores(model, x, y[None])[0])
 
-    The gradient is the expected joint feature under the model posterior
-    minus the observed joint feature.  The expected transition counts
-    ``sum_j alpha_j[a] E[a, b] W_j[b]``, with ``W_j = psi_{j+1}
-    beta_{j+1} / c_{j+1}``, come from one matrix product, so the per-edge
-    posterior tensor is never formed.
+
+def _crf_gradient_blocks(model: ChainModel, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Unchecked CRF negative log-likelihood and its gradient as blocks:
+    ``(nll, grad_unary (Y, d), grad_transition (Y, Y))``.
+
+    Each block is the expected feature under the model posterior minus the
+    observed one.  The expected transition counts ``sum_j alpha_j[a] E[a,
+    b] W_j[b]``, with ``W_j = psi_{j+1} beta_{j+1} / c_{j+1}``, come from
+    one matrix product scaled in place, so the per-edge posterior tensor is
+    never formed.  The observed unary block is summed as
+    :func:`joint_feature` sums it and each observed transition cell's count
+    is subtracted once, so the blocks equal the dense ``expected -
+    joint_feature(y)`` bit for bit.  Callers validate first.
     """
-    x, y = _check_instance(model, x, y)
     unary = _unary_table(model, x)
     chain = _scaled_forward_backward(unary, model.transition)
     if chain is None:
         marg = _log_space_forward_backward(unary, model.transition)
         log_partition, unary_marginals = marg.log_partition, marg.unary_marginals
-        expected_transition = marg.transition_marginals.sum(axis=0)
+        grad_transition = marg.transition_marginals.sum(axis=0)
     else:
         log_partition, unary_marginals = chain.log_partition, chain.alpha * chain.beta
-        expected_transition = chain.kernel * (chain.alpha[:-1].T @ chain.edge_weights)
+        grad_transition = chain.alpha[:-1].T @ chain.edge_weights
+        grad_transition *= chain.kernel
     nll = log_partition - _chain_scores(model, x, y[None])[0]
 
-    expected_unary = unary_marginals.T @ x  # (Y, d)
-    expected = np.concatenate([expected_unary.ravel(), expected_transition.ravel()])
-    observed = joint_feature(model.n_labels, x, y)
-    return float(nll), expected - observed
+    grad_unary = unary_marginals.T @ x  # (Y, d)
+    observed = np.zeros_like(grad_unary)
+    np.add.at(observed, y, x)
+    grad_unary -= observed
+    # Each edge subtracts its cell's full count; an edge that repeats a
+    # cell writes the same value again.
+    src, dst = y[:-1], y[1:]
+    cells = src * model.n_labels + dst
+    grad_transition[src, dst] -= (cells[:, None] == cells).sum(axis=1)
+    return float(nll), grad_unary, grad_transition
+
+
+def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood of ``y`` and its exact flat-weight gradient
+    (see :func:`_crf_gradient_blocks`)."""
+    x, y = _check_instance(model, x, y)
+    nll, grad_unary, grad_transition = _crf_gradient_blocks(model, x, y)
+    return nll, np.concatenate([grad_unary.ravel(), grad_transition.ravel()])
 
 
 def hinge_violation(model: ChainModel, x, y) -> tuple[float, np.ndarray]:

@@ -35,9 +35,10 @@ import numpy as np
 
 from .errors import DomainError, EnumerationLimitError, TrainingDivergedError
 from .inference import (
+    _crf_gradient_blocks,
+    _crf_nll,
     _unary_table,
     _viterbi,
-    crf_nll_and_gradient,
     hinge_violation,
     ssvm_loss_and_subgradient,
 )
@@ -438,11 +439,12 @@ def _mean_objective(objective: str, model: ChainModel, instances, config: TrainC
     # monitoring metric (NaN when the label space is too large to
     # enumerate); the neighbor proposal optimizes its restricted variant,
     # which moves together with the full sum on these scales.  Instances
-    # of equal length are evaluated in one batched call.
+    # of equal length are evaluated in one batched call.  The CRF objective
+    # needs ``log Z`` only, so it runs the forward pass alone.
     if objective == "ssvm":
         values = [ssvm_loss_and_subgradient(model, x, y)[0] for x, y in instances]
     elif objective == "crf":
-        values = [crf_nll_and_gradient(model, x, y)[0] for x, y in instances]
+        values = [_crf_nll(model, x, y) for x, y in instances]
     else:
         values = np.empty(len(instances))
         for positions in _length_groups(instances):
@@ -569,7 +571,10 @@ def sgd_step(
     touches O(length * dim) numbers regardless of the label-set size; the
     exact-inference updates pay their O(length * labels^2) dynamic program.
     The hinge and K-negative updates write only the labels and transition
-    cells their sequences use, with the same values a dense update would.
+    cells their sequences use, with the same values a dense update would;
+    the CRF update scales its two gradient blocks in place and subtracts
+    them from the weights, with the bits of the dense flat update.
+    Callers validate first.
     """
     unary, transition = model.unary, model.transition
     n_labels = model.n_labels
@@ -587,8 +592,10 @@ def sgd_step(
             return
         delta = feature_difference(n_labels, x, competitor, y)
     else:
-        grad = crf_nll_and_gradient(model, x, y)[1]
-        unary -= step * grad[: unary.size].reshape(unary.shape)
-        transition -= step * grad[unary.size :].reshape(transition.shape)
+        _, grad_unary, grad_transition = _crf_gradient_blocks(model, x, y)
+        grad_unary *= step
+        unary -= grad_unary
+        grad_transition *= step
+        transition -= grad_transition
         return
     delta.subtract_from(model, step)

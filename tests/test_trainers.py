@@ -14,6 +14,7 @@ from lincore import (
     SequenceData,
     TrainConfig,
     TrainingDivergedError,
+    crf_nll_and_gradient,
     empirical_gradient_variance,
     exact_pair_estimator_expectation,
     feature_radius_exact,
@@ -33,7 +34,7 @@ from lincore import (
     uniform_negative_gradient_exact,
     viterbi,
 )
-from lincore import trainers
+from lincore import inference, trainers
 from lincore.rng import (
     DOMAIN_DIAGNOSTIC,
     DOMAIN_TRAIN_SAMPLE,
@@ -400,6 +401,19 @@ def _dense_reference_step(model, x, y, config, rng):
             grad = np.zeros(n * model.dim + n * n)
         else:
             grad = joint_feature(n, x, competitor) - joint_feature(n, x, y)
+    elif config.objective == "crf":
+        # Expected minus observed joint feature, both dense and flat.
+        unary = x @ model.unary.T
+        chain = inference._scaled_forward_backward(unary, model.transition)
+        if chain is None:
+            marg = inference._log_space_forward_backward(unary, model.transition)
+            unary_marginals = marg.unary_marginals
+            expected_transition = marg.transition_marginals.sum(axis=0)
+        else:
+            unary_marginals = chain.alpha * chain.beta
+            expected_transition = chain.kernel * (chain.alpha[:-1].T @ chain.edge_weights)
+        expected = np.concatenate([(unary_marginals.T @ x).ravel(), expected_transition.ravel()])
+        grad = expected - joint_feature(n, x, y)
     else:
         k = config.n_negatives
         negatives = rng.integers(0, n, size=(k, length))
@@ -423,26 +437,28 @@ def _dense_reference_step(model, x, y, config, rng):
     return grad
 
 
-@pytest.mark.parametrize("objective", ["ssvm", "lincore_ksample"])
-@pytest.mark.parametrize("n_labels", [3, 150])
-def test_sparse_updates_match_dense_reference_bitwise(objective, n_labels):
-    """Writing only touched labels leaves weights identical to a dense update.
+def _repeating_instances(data):
+    """Each instance with its first two labels repeated along the sequence,
+    so every transition cell it uses is used more than once."""
+    return [
+        (np.asarray(x, dtype=np.float64), np.resize(np.asarray(y, dtype=np.int64)[:2], len(y)))
+        for x, y in data.train
+    ]
 
-    At 150 labels the length-6 sequences touch few enough labels that the
-    update runs on the compact label block; at 3 it keeps every label.
-    """
-    data = tiny_data(seed=3, n_train=20, length=6, n_labels=n_labels, dim=4)
-    config = TrainConfig(eta=0.05, objective=objective)
+
+def _assert_steps_match_dense_reference(sparse, instances, config, steps):
+    """``steps`` SGD steps leave the same weights as the dense reference,
+    and each public gradient equals the reference gradient bit for bit."""
     proposal = PairProposal(config.corruption_rate)
-    sparse = ChainModel.zeros(n_labels, 4)
-    dense = ChainModel.zeros(n_labels, 4)
-    for t in range(300):
-        x, y = data.train[t % len(data.train)]
-        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
-        if objective == "lincore_ksample":
+    dense = ChainModel(sparse.unary.copy(), sparse.transition.copy())
+    for t in range(steps):
+        x, y = instances[t % len(instances)]
+        if config.objective == "lincore_ksample":
             public = lc_ksample_gradient_estimate(
                 dense, x, y, config.spec, config.n_negatives, stream_rng(5, DOMAIN_TRAIN_SAMPLE, t)
             )
+        elif config.objective == "crf":
+            public = crf_nll_and_gradient(dense, x, y)[1]
         else:
             public = ssvm_loss_and_subgradient(dense, x, y)[1]
         sgd_step(sparse, x, y, config, proposal, stream_rng(5, DOMAIN_TRAIN_SAMPLE, t))
@@ -450,7 +466,46 @@ def test_sparse_updates_match_dense_reference_bitwise(objective, n_labels):
         assert np.array_equal(public, grad)
     assert np.array_equal(sparse.unary, dense.unary)
     assert np.array_equal(sparse.transition, dense.transition)
+
+
+@pytest.mark.parametrize("objective", ["ssvm", "lincore_ksample", "crf"])
+@pytest.mark.parametrize("n_labels", [3, 150])
+def test_sparse_updates_match_dense_reference_bitwise(objective, n_labels):
+    """Writing only touched labels leaves weights identical to a dense update.
+
+    At 150 labels the length-6 sequences touch few enough labels that the
+    update runs on the compact label block; at 3 it keeps every label.  The
+    CRF step subtracts its gradient blocks in place, with each repeated
+    transition cell's count subtracted once, as the dense difference does.
+    """
+    data = tiny_data(seed=3, n_train=20, length=6, n_labels=n_labels, dim=4)
+    sparse = ChainModel.zeros(n_labels, 4)
+    _assert_steps_match_dense_reference(
+        sparse, _repeating_instances(data), TrainConfig(eta=0.05, objective=objective), 300
+    )
     assert np.any(model_weights(sparse) != 0.0)
+
+
+def test_crf_step_matches_dense_reference_beyond_the_scaled_range(monkeypatch):
+    """One transition cell 1,000 nats down puts every call on the log-space
+    recursion, while the other cells keep the posteriors spread out."""
+    calls = []
+    fallback = inference._log_space_forward_backward
+
+    def spy(unary, transition):
+        calls.append(np.ptp(transition))
+        return fallback(unary, transition)
+
+    monkeypatch.setattr(inference, "_log_space_forward_backward", spy)
+    rng = np.random.default_rng(16)
+    sparse = ChainModel(rng.normal(size=(3, 4)), rng.normal(size=(3, 3)))
+    sparse.transition[2, 2] = -1000.0
+    data = tiny_data(seed=3, n_train=20, length=6, n_labels=3, dim=4)
+    steps = 60
+    _assert_steps_match_dense_reference(
+        sparse, _repeating_instances(data), TrainConfig(eta=0.05, objective="crf"), steps
+    )
+    assert len(calls) == 3 * steps and min(calls) > inference._SCALED_RANGE_LIMIT
 
 
 def _bad_instance(kind, n_labels=3):
@@ -594,13 +649,18 @@ def test_batched_test_error_matches_single_decodes():
     assert trainers.test_hamming_error(zero, ties) == 0.25
 
 
-def test_batched_evaluation_matches_single_calls():
-    """The recorded objective is the mean of per-instance exact sum losses."""
+@pytest.mark.parametrize("objective", ["lincore", "crf"])
+def test_batched_evaluation_matches_single_calls(objective):
+    """The recorded objective is the mean of per-instance exact sum losses,
+    or of per-instance CRF negative log-likelihoods."""
     data = tiny_data(seed=4, n_train=10, n_test=0, length=3, n_labels=3, dim=2)
     short = [(x[:2], y[:2]) for x, y in tiny_data(seed=5, n_train=5, n_test=0, n_labels=3, dim=2).train]
     instances = [(np.asarray(x), np.asarray(y)) for x, y in data.train[:4] + short + data.train[4:]]
     rng = np.random.default_rng(6)
     model = ChainModel(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
-    config = TrainConfig(objective="lincore")
-    want = float(np.mean([structured_sum_loss_exact(config.spec, model, x, y) for x, y in instances]))
-    assert trainers._mean_objective("lincore", model, instances, config) == want
+    config = TrainConfig(objective=objective)
+    if objective == "crf":
+        want = float(np.mean([crf_nll_and_gradient(model, x, y)[0] for x, y in instances]))
+    else:
+        want = float(np.mean([structured_sum_loss_exact(config.spec, model, x, y) for x, y in instances]))
+    assert trainers._mean_objective(objective, model, instances, config) == want
