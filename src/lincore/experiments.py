@@ -19,7 +19,6 @@ import os
 import platform
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .consistency import (
 from .datagen import HmmSpec, IdnSpec, generate_hmm_split, generate_idn_dataset
 from .errors import ConfigError
 from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC
-from .multiclass import _ce_gradient, _gce_gradient, _softmax, _sum_loss_gradient
+from .multiclass import _softmax, _softmax_gradients, _sum_loss_gradient
 from .rng import (
     DOMAIN_NOISE_TRAIN,
     DOMAIN_TRAIN_INSTANCE,
@@ -71,14 +70,21 @@ def _merge_config(defaults: dict, overrides: dict | None) -> dict:
 
 
 def _write_artifacts(
-    out_dir: str | None, command: str, config: dict, seed: int, t0: float, files: dict
+    out_dir: str | None,
+    command: str,
+    config: dict,
+    seed: int,
+    t0: float,
+    files: dict,
+    phases: dict | None = None,
 ) -> None:
     """Write a driver's files and its ``manifest.json`` into ``out_dir``.
 
     ``files`` maps each file name to its content, in manifest order: a
     ``(header, rows)`` pair for a ``.csv`` name, a JSON value otherwise.
-    ``seconds_total`` runs from ``t0`` until the files are written.  Does
-    nothing when ``out_dir`` is None.
+    ``seconds_total`` runs from ``t0`` until the files are written;
+    ``phases`` adds named per-phase seconds beside it.  Does nothing when
+    ``out_dir`` is None.
     """
     if out_dir is None:
         return
@@ -113,7 +119,7 @@ def _write_artifacts(
                 "cpu_count": os.cpu_count(),
                 "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
             },
-            "timings": {"seconds_total": time.perf_counter() - t0},
+            "timings": {"seconds_total": time.perf_counter() - t0, **(phases or {})},
             "artifacts": list(files),
             "nondeterministic_columns": {
                 name: cols for name, cols in _TIMING_COLUMNS.items() if name in files
@@ -443,22 +449,62 @@ class NoiseResult:
     realized_flip_rates: dict
 
 
-def _train_linear_multiclass(x, y, cfg: dict, seed: int, grad_scores, *params) -> np.ndarray:
-    """Minibatch SGD on a linear scorer; identical budget and batches per loss.
+def _check_noise_config(cfg: dict) -> None:
+    """Reject a noise config that would train on nothing or on NaN, or drop an artifact."""
+    try:
+        qs = [float(q) for q in cfg["q_grid"]]
+        rates = [float(rate) for rate in cfg["noise_rates"]]
+        eta, decay, hist = (float(cfg[key]) for key in ("eta", "weight_decay", "hist_noise_rate"))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            "q_grid and noise_rates must be lists of numbers; eta, weight_decay and "
+            "hist_noise_rate numbers"
+        ) from None
+    for key, hi in (
+        ("epochs", np.inf),
+        ("batch_size", cfg["n_train"]),
+        ("n_test", np.inf),
+        ("n_bins", np.inf),
+    ):
+        value = cfg[key]
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not 1 <= value <= hi:
+            raise ConfigError(f"{key} must be an integer in [1, {hi}], got {value!r}")
+    checks = [
+        (qs and all(0.0 < q <= 1.0 for q in qs), f"q_grid entries must lie in (0, 1], got {qs}"),
+        (len(set(rates)) == len(rates), f"noise_rates must not repeat a rate, got {rates}"),
+        (
+            any(abs(rate - hist) < 1e-12 for rate in rates),
+            f"hist_noise_rate {hist} is not one of noise_rates {rates}",
+        ),
+        (np.isfinite(eta) and eta > 0.0, f"eta must be finite and > 0, got {eta}"),
+        (np.isfinite(decay) and decay >= 0.0, f"weight_decay must be finite and >= 0, got {decay}"),
+    ]
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(message)
 
-    ``grad_scores(scores, labels, *params)`` is an unchecked ``(B, C)``
-    gradient kernel of :mod:`lincore.multiclass`; the generator's labels
+
+def _train_linear_stacked(x, y, cfg: dict, seed: int, spec: LinearCoreSpec) -> np.ndarray:
+    """Minibatch SGD of every loss of the study on shared batches; ``(F, C, d)`` weights.
+
+    Row 0 is cross-entropy (GCE at ``q = 0``), then GCE at each ``q_grid``
+    entry, then the linear-core sum loss.  The gradient kernels are the
+    unchecked ones of :mod:`lincore.multiclass`; the generator's labels
     need no re-validation.
     """
-    weights = np.zeros((cfg["n_classes"], x.shape[1]))
+    qs = [0.0, *cfg["q_grid"]]
+    weights = np.zeros((len(qs) + 1, cfg["n_classes"], x.shape[1]))
     n, batch_size = x.shape[0], cfg["batch_size"]
     for epoch in range(cfg["epochs"]):
         order = stream_rng(seed, DOMAIN_NOISE_TRAIN, epoch).permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             batch = order[start : start + batch_size]
-            xb = x[batch]
-            grad = grad_scores(xb @ weights.T, y[batch], *params)
-            weights -= cfg["eta"] * (grad.T @ xb / batch_size + cfg["weight_decay"] * weights)
+            xb, yb = x[batch], y[batch]
+            scores = np.matmul(xb, weights.transpose(0, 2, 1))
+            softmax_rows = _softmax_gradients(scores[:-1], yb, qs)
+            grads = np.concatenate([softmax_rows, _sum_loss_gradient(scores[-1], yb, spec)[None]])
+            update = np.matmul(grads.transpose(0, 2, 1), xb)
+            weights -= cfg["eta"] * (update / batch_size + cfg["weight_decay"] * weights)
     return weights
 
 
@@ -470,19 +516,23 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
     """Label-noise robustness study on the synthetic boundary-noise task.
 
     Trains cross-entropy, the generalized-cross-entropy grid, and the
-    one-sided linear-core sum loss with an identical SGD budget per noise
-    rate; reports clean-test accuracy, and collects per-group gradient
-    magnitudes at the final model of the histogram noise rate (per-pair
-    surrogate slopes for the linear-core loss, true-label softmax gap
-    ``1 - p_y`` for cross-entropy).
+    one-sided linear-core sum loss in one stacked fit per noise rate, so
+    every loss sees the same batches; reports clean-test accuracy, and
+    collects per-group gradient magnitudes at the final model of the
+    histogram noise rate (per-pair surrogate slopes for the linear-core
+    loss, true-label softmax gap ``1 - p_y`` for cross-entropy).  The
+    manifest records the data, train and eval seconds beside the total.
     """
     cfg = _merge_config(NOISE_DEFAULTS, config)
     t0 = time.perf_counter()
+    _check_noise_config(cfg)
     spec = LinearCoreSpec(BaseLoss.logistic(), side=ONE_SIDED, tau=cfg["tau"])
     accuracies: list[NoiseAccuracy] = []
     gradient_groups: dict[str, GradientGroups] = {}
     realized: dict[float, float] = {}
+    phases = dict.fromkeys(("seconds_data", "seconds_train", "seconds_eval"), 0.0)
     for rate in cfg["noise_rates"]:
+        tick = time.perf_counter()
         dataset = generate_idn_dataset(
             IdnSpec(
                 n_train=cfg["n_train"],
@@ -497,20 +547,23 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
         x_train = np.hstack([dataset.x_train, np.ones((dataset.x_train.shape[0], 1))])
         x_test = np.hstack([dataset.x_test, np.ones((dataset.x_test.shape[0], 1))])
         realized[float(rate)] = float(np.mean(dataset.flipped))
+        tock = time.perf_counter()
+        phases["seconds_data"] += tock - tick
 
-        fit = partial(_train_linear_multiclass, x_train, dataset.y_train, cfg, seed)
-        ce_weights = fit(_ce_gradient)
+        weights = _train_linear_stacked(x_train, dataset.y_train, cfg, seed, spec)
+        tick = time.perf_counter()
+        phases["seconds_train"] += tick - tock
+        ce_weights, gce_weights, lc_weights = weights[0], weights[1:-1], weights[-1]
         accuracies.append(
             NoiseAccuracy("ce", None, float(rate), _accuracy(ce_weights, x_test, dataset.y_test))
         )
         best_q, best_acc = None, -1.0
-        for q in cfg["q_grid"]:
-            acc = _accuracy(fit(_gce_gradient, float(q)), x_test, dataset.y_test)
+        for q, q_weights in zip(cfg["q_grid"], gce_weights):
+            acc = _accuracy(q_weights, x_test, dataset.y_test)
             accuracies.append(NoiseAccuracy("gce", float(q), float(rate), acc))
             if acc > best_acc:
                 best_q, best_acc = float(q), acc
         accuracies.append(NoiseAccuracy("gce_best", best_q, float(rate), best_acc))
-        lc_weights = fit(_sum_loss_gradient, spec)
         accuracies.append(
             NoiseAccuracy("lc", None, float(rate), _accuracy(lc_weights, x_test, dataset.y_test))
         )
@@ -528,6 +581,7 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
                 gradient_groups[name] = GradientGroups(
                     name, clean=mag[~flipped].ravel(), noisy=mag[flipped].ravel()
                 )
+        phases["seconds_eval"] += time.perf_counter() - tick
 
     noise_rows = [
         (a.loss, "" if a.q is None else repr(a.q), repr(a.noise_rate), repr(a.test_accuracy))
@@ -546,7 +600,7 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
         "noise.csv": (["loss", "q", "noise_rate", "test_accuracy"], noise_rows),
         "grad_hist.csv": (["loss", "group", "bin_left", "bin_right", "count"], hist_rows),
     }
-    _write_artifacts(out_dir, "noise", cfg, seed, t0, files)
+    _write_artifacts(out_dir, "noise", cfg, seed, t0, files, phases)
     return NoiseResult(
         accuracies=accuracies, gradient_groups=gradient_groups, realized_flip_rates=realized
     )

@@ -114,8 +114,8 @@ def _onehot_rows(n: int) -> np.ndarray:
 
 
 def _softmax(scores):
-    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
@@ -124,19 +124,28 @@ def _ce_loss(scores, labels):
     return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(labels.size), labels]
 
 
-def _ce_gradient(scores, labels):
-    return _softmax(scores) - _onehot_rows(scores.shape[1])[labels]
-
-
 def _gce_loss(scores, labels, q):
     return (1.0 - _softmax(scores)[np.arange(labels.size), labels] ** q) / q
 
 
+def _softmax_gradients(scores, labels, qs):
+    """``p_y**q * (p - onehot(y))`` of ``(F, B, C)`` scores, row ``f`` at ``qs[f]``.
+
+    ``q = 0`` is cross-entropy, bit for bit: ``p_y ** 0.0 == 1`` and
+    ``1.0 * g == g``.  Each ``q`` is raised as a Python float, one row at a
+    time: numpy sends a scalar ``** 0.5`` to ``sqrt``, while an array of
+    exponents goes through ``pow``, which can differ in the last bit.
+    """
+    grads = _softmax(scores)
+    p_y = grads[:, np.arange(labels.size), labels]
+    grads -= _onehot_rows(scores.shape[-1])[labels]
+    for grad, p, q in zip(grads, p_y, qs):
+        grad *= (p ** float(q))[:, None]
+    return grads
+
+
 def _gce_gradient(scores, labels, q):
-    """``p_y**q * (p - onehot(y))``, the CE gradient scaled by ``p_y**q``."""
-    probs = _softmax(scores)
-    scale = probs[np.arange(labels.size), labels] ** q
-    return scale[:, None] * (probs - _onehot_rows(scores.shape[1])[labels])
+    return _softmax_gradients(scores[None], labels, (q,))[0]
 
 
 def _surrogate_regret(spec, weights, scores):
@@ -163,7 +172,7 @@ def ce_loss(scores, y):
 
 
 def ce_gradient(scores, y) -> np.ndarray:
-    return _batched(_ce_gradient, scores, y)
+    return _batched(_gce_gradient, scores, y, 0.0)
 
 
 def gce_loss(scores, y, q: float):

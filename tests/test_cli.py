@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, artifact emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,25 @@ class TestRatesCommand:
         code = main(["rates", "--out-dir", str(tmp_path), "--config", str(config)])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_bad_noise_config_exits_1_without_traceback(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"q_grid": [0.0, 0.5]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["noise", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "lincore.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert "error: q_grid entries must lie in (0, 1]" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_selftest_passes_on_a_correct_build(capsys):

@@ -5,20 +5,27 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
 from lincore import ConfigError
+from lincore.datagen import IdnSpec, generate_idn_dataset
 from lincore.experiments import (
     NOISE_DEFAULTS,
+    _train_linear_stacked,
     run_noise,
     run_rates,
     run_scaling,
     run_stability,
     run_train_seq,
 )
+from lincore.losses import ONE_SIDED, BaseLoss, LinearCoreSpec
+from lincore.multiclass import mc_sum_loss_gradient
+from lincore.rng import DOMAIN_NOISE_TRAIN, stream_rng
 
 TINY_RATES = {"delta_min": 1e-3, "delta_max": 1e-1, "n_deltas": 8}
 TINY_STABILITY = {
@@ -164,6 +171,104 @@ class TestNoiseDriver:
         assert (
             tmp_path / "a/grad_hist.csv"
         ).read_bytes() == (tmp_path / "b/grad_hist.csv").read_bytes()
+
+
+    def test_manifest_records_phase_timings(self, tmp_path):
+        run_noise(TINY_NOISE, seed=0, out_dir=tmp_path)
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        phases = [timings[key] for key in ("seconds_data", "seconds_train", "seconds_eval")]
+        assert min(phases) >= 0.0
+        assert sum(phases) <= timings["seconds_total"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"q_grid": [0.0]},
+            {"q_grid": [-1.0]},
+            {"q_grid": [float("nan")]},
+            {"q_grid": [0.5, 1.5]},
+            {"q_grid": []},
+            {"q_grid": ["half"]},
+            {"epochs": 0},
+            {"batch_size": TINY_NOISE["n_train"] + 1},
+            {"batch_size": 0},
+            {"batch_size": 2.5},
+            {"n_test": 0},
+            {"n_bins": 0},
+            {"hist_noise_rate": 0.3},
+            {"noise_rates": [0.4, 0.4]},
+            {"eta": 0.0},
+            {"eta": float("inf")},
+            {"eta": float("nan")},
+            {"weight_decay": -0.01},
+            {"weight_decay": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_bad_config_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            run_noise(dict(TINY_NOISE, **bad))
+
+
+def _softmax_2d(scores):
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _ce_oracle(scores, labels):
+    return _softmax_2d(scores) - np.eye(scores.shape[1])[labels]
+
+
+def _gce_oracle(scores, labels, q):
+    probs = _softmax_2d(scores)
+    scale = probs[np.arange(labels.size), labels] ** q
+    return scale[:, None] * (probs - np.eye(scores.shape[1])[labels])
+
+
+def _per_loss_fit(x, y, cfg, seed, grad_scores, *params):
+    """One loss at a time: the trainer the stacked fit replaced, kept as its oracle."""
+    weights = np.zeros((cfg["n_classes"], x.shape[1]))
+    n, batch_size = x.shape[0], cfg["batch_size"]
+    for epoch in range(cfg["epochs"]):
+        order = stream_rng(seed, DOMAIN_NOISE_TRAIN, epoch).permutation(n)
+        for start in range(0, n - batch_size + 1, batch_size):
+            batch = order[start : start + batch_size]
+            xb = x[batch]
+            grad = grad_scores(xb @ weights.T, y[batch], *params)
+            weights -= cfg["eta"] * (grad.T @ xb / batch_size + cfg["weight_decay"] * weights)
+    return weights
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.5, 1.0]], ids=["sqrt", "grid"])
+def test_stacked_fit_matches_per_loss_oracle_bitwise(seed, q_grid):
+    """Every row of the stacked fit is the per-loss fit on the same batches, bit for bit.
+
+    ``q = 0.5`` is the trap: numpy raises a scalar ``** 0.5`` with ``sqrt``, an
+    array of exponents with ``pow``, and the two can differ in the last bit.
+    """
+    cfg = dict(NOISE_DEFAULTS, **dict(TINY_NOISE, q_grid=q_grid))
+    data = generate_idn_dataset(
+        IdnSpec(
+            n_train=cfg["n_train"],
+            n_test=0,
+            dim=cfg["dim"],
+            n_classes=cfg["n_classes"],
+            noise_rate=0.4,
+            seed=seed,
+            center_scale=cfg["center_scale"],
+        )
+    )
+    x = np.hstack([data.x_train, np.ones((cfg["n_train"], 1))])
+    spec = LinearCoreSpec(BaseLoss.logistic(), side=ONE_SIDED, tau=cfg["tau"])
+    stacked = _train_linear_stacked(x, data.y_train, cfg, seed, spec)
+    oracle = [_per_loss_fit(x, data.y_train, cfg, seed, _ce_oracle)]
+    oracle += [_per_loss_fit(x, data.y_train, cfg, seed, _gce_oracle, q) for q in q_grid]
+    oracle.append(_per_loss_fit(x, data.y_train, cfg, seed, partial(mc_sum_loss_gradient, spec)))
+    assert stacked.shape == (len(oracle), cfg["n_classes"], x.shape[1])
+    for row, want in zip(stacked, oracle):
+        assert np.any(want != 0.0)
+        assert np.array_equal(row, want)
 
 
 class TestScalingDriver:
