@@ -61,9 +61,7 @@ def conditional_objective(loss: MarginLoss, t: float, u):
     return float(out[0]) if scalar else out
 
 
-def weighted_margin_infimum(
-    loss: MarginLoss, w_pos, w_neg, *, halfwidth: float | None = None
-) -> MinimizeResult:
+def weighted_margin_infimum(loss: MarginLoss, w_pos, w_neg) -> MinimizeResult:
     """Minimize ``w_pos*phi(u) + w_neg*phi(-u)`` over the whole real line.
 
     Vectorized over weight pairs.  Zero weights are masked out of the
@@ -98,9 +96,8 @@ def weighted_margin_infimum(
             out[neg] -= w_neg[neg] * np.asarray(loss.derivative(-u[neg]), dtype=np.float64)
         return out
 
-    bh = loss.bracket_halfwidth if halfwidth is None else halfwidth
-    lo = np.full(w_pos.shape, -bh)
-    hi = np.full(w_pos.shape, bh)
+    lo = np.full(w_pos.shape, -loss.bracket_halfwidth)
+    hi = np.full(w_pos.shape, loss.bracket_halfwidth)
     return minimize_convex(g, g_prime, lo, hi)
 
 

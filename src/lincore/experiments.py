@@ -35,19 +35,11 @@ from .consistency import (
 )
 from .datagen import HmmSpec, IdnSpec, generate_hmm_split, generate_idn_dataset
 from .errors import ConfigError
-from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC
+from .losses import _BASE_KINDS, _SIDES, BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC
 from .multiclass import _softmax, _softmax_gradients, _sum_loss_gradient
-from .rng import (
-    DOMAIN_NOISE_TRAIN,
-    DOMAIN_TRAIN_INSTANCE,
-    DOMAIN_TRAIN_SAMPLE,
-    keyed_rng,
-    rekey,
-    stream_keys,
-    stream_rng,
-)
+from .rng import DOMAIN_NOISE_TRAIN, stream_rng
 from .structured import ChainModel
-from .trainers import PairProposal, TrainConfig, TrainResult, sgd_step, sgd_train
+from .trainers import PairProposal, TrainConfig, TrainResult, _training_steps, sgd_step, sgd_train
 
 # The environment variables that set the BLAS thread count; unset ones
 # are recorded as null.
@@ -129,13 +121,16 @@ def _write_artifacts(
 
 
 def _base_from_name(name: str) -> BaseLoss:
-    if name == "logistic":
-        return BaseLoss.logistic()
-    if name == "exponential":
-        return BaseLoss.exponential()
-    if name == "quartic_linear":
-        return BaseLoss.quartic_linear()
-    raise ConfigError(f"unknown base loss {name!r}")
+    if name not in _BASE_KINDS:
+        raise ConfigError(f"unknown base loss {name!r}")
+    return BaseLoss(name)
+
+
+def _check_count(cfg: dict, key: str, lo: int, hi=np.inf) -> None:
+    """Reject a ``key`` setting that is not an integer in ``[lo, hi]``."""
+    value = cfg[key]
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not lo <= value <= hi:
+        raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +203,8 @@ def run_stability(
     """Rate slopes across core half-widths, including the vanishing-core limit."""
     cfg = _merge_config(STABILITY_DEFAULTS, config)
     t0 = time.perf_counter()
+    if not (cfg["robust_taus"] or cfg["vanishing_taus"]):
+        raise ConfigError("robust_taus and vanishing_taus must not both be empty")
     base = _base_from_name(cfg["base"])
     robust_grid = np.logspace(
         np.log10(cfg["robust_delta_min"]), np.log10(cfg["robust_delta_max"]), cfg["n_deltas"]
@@ -270,13 +267,13 @@ def run_scaling(
     """
     cfg = _merge_config(SCALING_DEFAULTS, config)
     t0 = time.perf_counter()
+    # An empty timing list has a NaN median; an empty sweep, a header-only CSV.
+    _check_count(cfg, "warmup_batches", 0)
+    _check_count(cfg, "timed_batches", 1)
+    if not (cfg["label_sizes"] and cfg["methods"]):
+        raise ConfigError("label_sizes and methods must not be empty")
     rows: list[ScalingRow] = []
-    # Batch t draws from the (seed, t) streams of both training domains.
     total = cfg["warmup_batches"] + cfg["timed_batches"]
-    batches = np.arange(total)
-    pick_keys = stream_keys(seed, DOMAIN_TRAIN_INSTANCE, batches)
-    sample_keys = stream_keys(seed, DOMAIN_TRAIN_SAMPLE, batches)
-    rng = keyed_rng()
     for n_labels in cfg["label_sizes"]:
         data = generate_hmm_split(
             HmmSpec(
@@ -302,9 +299,9 @@ def run_scaling(
             proposal = PairProposal(cfg["corruption_rate"])
             model = ChainModel.zeros(int(n_labels), cfg["dim"])
             times = []
-            for t in range(total):
-                x, y = train[int(rekey(rng, pick_keys[t]).integers(0, len(train)))]
-                rekey(rng, sample_keys[t])
+            # Batch t is the single-instance training step of iteration t.
+            for _, _, idx, rng in _training_steps(seed, len(train), 1, 0, total):
+                x, y = train[idx]
                 tick = time.perf_counter()
                 sgd_step(model, x, y, train_cfg, proposal, rng)
                 times.append(time.perf_counter() - tick)
@@ -366,7 +363,7 @@ def run_train_seq(
     """Train one objective on synthetic chain data; emit the history CSV."""
     cfg = _merge_config(TRAIN_SEQ_DEFAULTS, config)
     t0 = time.perf_counter()
-    if cfg["side"] not in (SYMMETRIC, ONE_SIDED):
+    if cfg["side"] not in _SIDES:
         raise ConfigError(f"unknown smoothing side {cfg['side']!r}")
     data = generate_hmm_split(
         HmmSpec(
@@ -460,15 +457,9 @@ def _check_noise_config(cfg: dict) -> None:
             "q_grid and noise_rates must be lists of numbers; eta, weight_decay and "
             "hist_noise_rate numbers"
         ) from None
-    for key, hi in (
-        ("epochs", np.inf),
-        ("batch_size", cfg["n_train"]),
-        ("n_test", np.inf),
-        ("n_bins", np.inf),
-    ):
-        value = cfg[key]
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not 1 <= value <= hi:
-            raise ConfigError(f"{key} must be an integer in [1, {hi}], got {value!r}")
+    for key in ("epochs", "n_test", "n_bins"):
+        _check_count(cfg, key, 1)
+    _check_count(cfg, "batch_size", 1, cfg["n_train"])
     checks = [
         (qs and all(0.0 < q <= 1.0 for q in qs), f"q_grid entries must lie in (0, 1], got {qs}"),
         (len(set(rates)) == len(rates), f"noise_rates must not repeat a rate, got {rates}"),

@@ -11,9 +11,10 @@ Bracketing rule: starting from the caller's interval, each side doubles in
 width while the derivative at that end still points downhill.  Convexity
 then guarantees the minimizer lies inside.  Objectives whose infimum is not
 attained (exponential tails decaying to an asymptote) stop expanding once a
-doubling lowers the edge value by less than ``stall_tol``; the edge value is
-then reported as the asymptotic infimum.  A bracket wider than ``max_width``
-with neither condition met raises :class:`~lincore.errors.BracketSearchError`
+doubling lowers the edge value by less than ``_STALL_TOL``; the edge value
+is then reported as the asymptotic infimum.  A bracket wider than
+``_MAX_WIDTH``, or still open after ``_MAX_DOUBLINGS`` doublings, with
+neither condition met raises :class:`~lincore.errors.BracketSearchError`
 with the offending problem indices.
 """
 
@@ -27,6 +28,13 @@ import numpy as np
 from .errors import BracketSearchError, DomainError
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+
+# Golden-section iterations, and the bracket search's stall tolerance,
+# width cap and doubling cap.
+_N_ITER = 120
+_STALL_TOL = 1e-12
+_MAX_WIDTH = 1e6
+_MAX_DOUBLINGS = 64
 
 Objective = Callable[[np.ndarray], np.ndarray]
 
@@ -47,10 +55,6 @@ def minimize_convex(
     hi,
     *,
     expand: bool = True,
-    n_iter: int = 120,
-    stall_tol: float = 1e-12,
-    max_width: float = 1e6,
-    max_doublings: int = 64,
 ) -> MinimizeResult:
     """Minimize a batch of convex scalar objectives to ~1e-10 value accuracy.
 
@@ -76,14 +80,14 @@ def minimize_convex(
         # downhill while ``sign * derivative < 0``.
         edges, f_edges = [lo, hi], [f_lo, f_hi]
         grow = [derivative(lo) > 0.0, derivative(hi) < 0.0]
-        for _ in range(max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             if not (np.any(grow[0]) or np.any(grow[1])):
                 break
             width = edges[1] - edges[0]
-            if np.any((width > max_width) & (grow[0] | grow[1])):
-                bad = np.nonzero((width > max_width) & (grow[0] | grow[1]))[0]
+            if np.any((width > _MAX_WIDTH) & (grow[0] | grow[1])):
+                bad = np.nonzero((width > _MAX_WIDTH) & (grow[0] | grow[1]))[0]
                 raise BracketSearchError(
-                    f"bracket width exceeded {max_width:g} before the derivative "
+                    f"bracket width exceeded {_MAX_WIDTH:g} before the derivative "
                     f"changed sign for problem indices {bad[:8].tolist()}"
                 )
             for side, sign in enumerate((-1.0, 1.0)):
@@ -92,7 +96,7 @@ def minimize_convex(
                 new_edge = np.where(grow[side], edges[side] + sign * width, edges[side])
                 f_new = value(new_edge)
                 downhill = sign * derivative(new_edge) < 0.0
-                stalled = grow[side] & downhill & (f_edges[side] - f_new < stall_tol)
+                stalled = grow[side] & downhill & (f_edges[side] - f_new < _STALL_TOL)
                 at_edge |= stalled
                 improved = f_new < best_val
                 best_arg = np.where(improved, new_edge, best_arg)
@@ -103,7 +107,7 @@ def minimize_convex(
             bad = np.nonzero(grow[0] | grow[1])[0]
             if bad.size:
                 raise BracketSearchError(
-                    f"bracket failed to close after {max_doublings} doublings "
+                    f"bracket failed to close after {_MAX_DOUBLINGS} doublings "
                     f"for problem indices {bad[:8].tolist()}"
                 )
         lo, hi = edges
@@ -114,7 +118,7 @@ def minimize_convex(
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1 = value(x1)
     f2 = value(x2)
-    for _ in range(n_iter):
+    for _ in range(_N_ITER):
         take_left = f1 <= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)

@@ -96,6 +96,15 @@ def _integer_labels(y) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
+def _check_labels(y, n_labels: int) -> np.ndarray:
+    """Labels as int64, each in ``[0, n_labels)``: the one label rule."""
+    labels = _integer_labels(y)
+    # A negative label views above any count.
+    if labels.size and labels.view(np.uint64).max() >= n_labels:
+        raise DomainError("label out of range")
+    return labels
+
+
 def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -106,11 +115,9 @@ def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarra
         raise DomainError("inputs must be finite")
     if y is None:
         return x, None
-    y = _integer_labels(y)
+    y = _check_labels(y, model.n_labels)
     if y.shape != (x.shape[0],):
         raise DomainError("label sequence length must match the input length")
-    if y.view(np.uint64).max() >= model.n_labels:  # a negative label views above any count
-        raise DomainError("label out of range")
     return x, y
 
 
@@ -151,11 +158,9 @@ def sequence_score(model: ChainModel, x, y) -> float:
 def joint_feature(n_labels: int, x, y) -> np.ndarray:
     """Flat feature map phi(x, y) with score(x, y) = weights . phi(x, y)."""
     x = np.asarray(x, dtype=np.float64)
-    y = _integer_labels(y)
+    y = _check_labels(y, n_labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DomainError("need (length, dim) inputs and a matching label sequence")
-    if np.any((y < 0) | (y >= n_labels)):
-        raise DomainError("label out of range")
     dim = x.shape[1]
     unary = np.zeros((n_labels, dim))
     np.add.at(unary, y, x)
@@ -260,13 +265,9 @@ def enumerate_sequences(n_labels: int, length: int, limit: int = ENUMERATION_LIM
 def all_sequence_scores(model: ChainModel, x, sequences) -> np.ndarray:
     """Scores of many label sequences at once."""
     x, _ = _check_instance(model, x)
-    sequences = np.asarray(sequences)
+    sequences = _check_labels(sequences, model.n_labels)
     if sequences.ndim != 2 or sequences.shape[1] != x.shape[0]:
         raise DomainError("sequences must be a (count, length) matrix matching the input length")
-    if not np.issubdtype(sequences.dtype, np.integer):
-        raise DomainError("sequences must hold integer labels")
-    if sequences.size and (sequences.min() < 0 or sequences.max() >= model.n_labels):
-        raise DomainError("label out of range")
     return _chain_scores(model, x, sequences)
 
 
@@ -285,17 +286,15 @@ def _check_batch(model: ChainModel, x, y) -> tuple[np.ndarray, np.ndarray, bool]
     if x.ndim != 3:
         x, y = _check_instance(model, x, y)
         return x, y, False
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if y.shape != x.shape[:2]:
         raise DomainError("need one label sequence per input matrix, matching its length")
     # Rows of equal length check as one (N * L, d) instance.
-    _check_instance(model, x.reshape(x.shape[0] * x.shape[1], x.shape[2]), y.ravel())
-    return x, y, True
+    _, labels = _check_instance(model, x.reshape(x.shape[0] * x.shape[1], x.shape[2]), y.ravel())
+    return x, labels.reshape(y.shape), True
 
 
-def structured_sum_loss_exact(
-    spec: LinearCoreSpec, model: ChainModel, x, y, *, limit: int = ENUMERATION_LIMIT
-):
+def structured_sum_loss_exact(spec: LinearCoreSpec, model: ChainModel, x, y):
     """Exact structured sum loss by full enumeration of the label space.
 
     ``(L, d)`` inputs with ``(L,)`` labels give a float.  ``(N, L, d)``
@@ -304,7 +303,7 @@ def structured_sum_loss_exact(
     once, and the surrogate runs once per memory block of margins.
     """
     x, y, batched = _check_batch(model, x, y)
-    seqs = enumerate_sequences(model.n_labels, x.shape[-2], limit)
+    seqs = enumerate_sequences(model.n_labels, x.shape[-2])
     scores = np.atleast_2d(_chain_scores(model, x, seqs))
     weights = np.atleast_2d(similarity_weights(seqs, y))
     count, m = scores.shape
@@ -325,13 +324,11 @@ def structured_sum_loss_exact(
     return totals if batched else float(totals[0])
 
 
-def structured_sum_loss_gradient_exact(
-    spec: LinearCoreSpec, model: ChainModel, x, y, *, limit: int = ENUMERATION_LIMIT
-) -> np.ndarray:
+def structured_sum_loss_gradient_exact(spec: LinearCoreSpec, model: ChainModel, x, y) -> np.ndarray:
     """Exact gradient of the structured sum loss in flat weight space."""
     x, y = _check_instance(model, x, y)
     n = model.n_labels
-    seqs = enumerate_sequences(n, x.shape[0], limit)
+    seqs = enumerate_sequences(n, x.shape[0])
     scores = _chain_scores(model, x, seqs)
     weights = similarity_weights(seqs, y)
 
@@ -403,12 +400,12 @@ def structured_conditional_regrets(spec: LinearCoreSpec, p, scores, loss_matrix)
     return _unbatch(batched, regret_target, regret_surrogate)
 
 
-def feature_radius_exact(xs, n_labels: int, *, limit: int = ENUMERATION_LIMIT) -> float:
+def feature_radius_exact(xs, n_labels: int) -> float:
     """Largest joint-feature norm over all inputs and all label sequences."""
     best = 0.0
     for x in xs:
         x = np.asarray(x, dtype=np.float64)
-        seqs = enumerate_sequences(n_labels, x.shape[0], limit)
+        seqs = enumerate_sequences(n_labels, x.shape[0])
         for seq in seqs:
             best = max(best, float(np.linalg.norm(joint_feature(n_labels, x, seq))))
     return best

@@ -54,7 +54,6 @@ from .rng import (
 )
 from .structured import (
     ChainModel,
-    ENUMERATION_LIMIT,
     FeatureDelta,
     _chain_scores,
     _check_instance,
@@ -72,6 +71,10 @@ NEIGHBOR = "neighbor"
 UNIFORM_FULL = "uniform_full"
 
 OBJECTIVES = ("ssvm", "crf", "lincore", "lincore_ksample")
+
+# The pair oracle loops over (outer, inner) pairs in Python, so it
+# enumerates far fewer sequences than the vectorized oracles.
+_PAIR_ORACLE_LIMIT = 64
 
 
 def default_train_spec() -> LinearCoreSpec:
@@ -218,8 +221,6 @@ def exact_pair_estimator_expectation(
     y,
     spec: LinearCoreSpec,
     proposal: PairProposal,
-    *,
-    limit: int = 64,
 ) -> np.ndarray:
     """Expectation of the pair estimator by exhaustive sample-space enumeration.
 
@@ -230,7 +231,7 @@ def exact_pair_estimator_expectation(
     x, y = _check_instance(model, x, y)
     n = model.n_labels
     length = y.size
-    seqs = enumerate_sequences(n, length, limit)
+    seqs = enumerate_sequences(n, length, _PAIR_ORACLE_LIMIT)
     feats = np.stack([joint_feature(n, x, seq) for seq in seqs])
     scores = all_sequence_scores(model, x, seqs)
     expectation = np.zeros(feats.shape[1])
@@ -307,12 +308,10 @@ def _accumulate_ksample(
     return FeatureDelta(n, labels, unary, transition)
 
 
-def uniform_negative_gradient_exact(
-    spec: LinearCoreSpec, model: ChainModel, x, y_star, *, limit: int = ENUMERATION_LIMIT
-) -> np.ndarray:
+def uniform_negative_gradient_exact(spec: LinearCoreSpec, model: ChainModel, x, y_star) -> np.ndarray:
     """Exact gradient of E_{y ~ Uniform}[phi(score(y*) - score(y))]."""
     x, y_star = _check_instance(model, x, y_star)
-    seqs = enumerate_sequences(model.n_labels, y_star.size, limit)
+    seqs = enumerate_sequences(model.n_labels, y_star.size)
     scores = _chain_scores(model, x, np.concatenate([y_star[None], seqs]))
     coeffs = lc_derivative(spec, scores[0] - scores[1:]) / len(seqs)
     return _accumulate_ksample(model, x, y_star, seqs, coeffs).dense()
@@ -486,6 +485,24 @@ def _apply_pair_update(
             model_transition[y_inner[j], y_inner[j + 1]] += step
 
 
+def _training_steps(seed: int, n_train: int, batch_size: int, first: int, stop: int):
+    """Yield ``(t, slot, index, rng)`` for each step of iterations ``first .. stop - 1``.
+
+    Iteration ``t`` picks its ``batch_size`` instances from the ``(seed,
+    DOMAIN_TRAIN_INSTANCE, t)`` stream; slot ``s`` trains on pick ``s`` and
+    draws from the ``(seed, DOMAIN_TRAIN_SAMPLE, t, s)`` stream.  ``rng`` is
+    one generator rekeyed to each stream in turn, so a step must be done
+    with it before the next step is drawn.
+    """
+    pick_keys = iteration_keys(seed, DOMAIN_TRAIN_INSTANCE, first, stop)
+    sample_keys = iteration_keys(seed, DOMAIN_TRAIN_SAMPLE, first, stop, batch_size)
+    rng = keyed_rng()
+    for t, (pick_key,), slot_keys in zip(range(first, stop), pick_keys, sample_keys):
+        picks = rekey(rng, pick_key).integers(0, n_train, size=batch_size)
+        for slot, (idx, key) in enumerate(zip(picks, slot_keys)):
+            yield t, slot, int(idx), rekey(rng, key)
+
+
 def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     """Run plain SGD from zero initialization on the selected objective.
 
@@ -536,19 +553,12 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
 
     if config.eval_interval > 0:
         record(0)
-    # The (seed, iteration, slot) streams of stream_rng, as keys of one
-    # generator: each stream is drawn in full before the next is keyed.
-    stop = config.iterations + 1
-    pick_keys = iteration_keys(config.seed, DOMAIN_TRAIN_INSTANCE, 1, stop)
-    sample_keys = iteration_keys(config.seed, DOMAIN_TRAIN_SAMPLE, 1, stop, config.batch_size)
-    rng = keyed_rng()
     scale = config.eta / config.batch_size
-    for t, (pick_key,), slot_keys in zip(range(1, stop), pick_keys, sample_keys):
-        picks = rekey(rng, pick_key).integers(0, len(train), size=config.batch_size)
-        for idx, key in zip(picks, slot_keys):
-            x, y = train[int(idx)]
-            sgd_step(model, x, y, config, proposal, rekey(rng, key), step=scale)
-        if config.eval_interval > 0 and t % config.eval_interval == 0:
+    steps = _training_steps(config.seed, len(train), config.batch_size, 1, config.iterations + 1)
+    for t, slot, idx, rng in steps:
+        x, y = train[idx]
+        sgd_step(model, x, y, config, proposal, rng, step=scale)
+        if slot == config.batch_size - 1 and config.eval_interval > 0 and t % config.eval_interval == 0:
             record(t)
     if config.eval_interval > 0 and (not history or history[-1].iteration != config.iterations):
         record(config.iterations)

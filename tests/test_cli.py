@@ -58,21 +58,35 @@ class TestRatesCommand:
         assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_bad_noise_config_exits_1_without_traceback(tmp_path):
+def _run_bad_config(tmp_path, command: str, overrides: dict) -> subprocess.CompletedProcess:
+    """Run ``lincore <command> --config bad.json`` in a fresh interpreter."""
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"q_grid": [0.0, 0.5]}))
+    config.write_text(json.dumps(overrides))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["noise", "--config", str(config), "--out-dir", str(tmp_path / "out")]
-    done = subprocess.run(
+    argv = [command, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    return subprocess.run(
         [sys.executable, "-m", "lincore.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_bad_noise_config_exits_1_without_traceback(tmp_path):
+    done = _run_bad_config(tmp_path, "noise", {"q_grid": [0.0, 0.5]})
     assert done.returncode == 1
     assert "error: q_grid entries must lie in (0, 1]" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_scaling_config_exits_1_without_traceback(tmp_path):
+    """Zero timed batches used to write a NaN median to scaling.csv."""
+    done = _run_bad_config(tmp_path, "scaling", {"timed_batches": 0})
+    assert done.returncode == 1
+    assert "error: timed_batches must be an integer in [1, inf]" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
 

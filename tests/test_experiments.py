@@ -122,6 +122,12 @@ class TestStabilityDriver:
         )
         assert [row.tau for row in result.rows] == [0.1]
 
+    def test_no_tau_rejected(self, tmp_path):
+        """Both tau lists empty used to write a header-only stability.csv."""
+        with pytest.raises(ConfigError):
+            run_stability(dict(TINY_STABILITY, robust_taus=[], vanishing_taus=[]), out_dir=tmp_path)
+        assert not (tmp_path / "stability.csv").exists()
+
 
 class TestTrainSeqDriver:
     def test_history_csv_schema(self, tmp_path):
@@ -289,6 +295,22 @@ class TestScalingDriver:
         assert manifest["nondeterministic_columns"] == {
             "scaling.csv": ["seconds_per_batch", "cv", "cv_flag"]
         }
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"timed_batches": 0},
+            {"warmup_batches": -1},
+            {"label_sizes": []},
+            {"methods": []},
+        ],
+        ids=repr,
+    )
+    def test_bad_config_rejected(self, bad, tmp_path):
+        """These used to write a NaN median or a header-only scaling.csv."""
+        with pytest.raises(ConfigError):
+            run_scaling(dict(TINY_SCALING, **bad), out_dir=tmp_path)
+        assert not (tmp_path / "scaling.csv").exists()
 
     def test_non_timing_columns_deterministic(self, tmp_path):
         run_scaling(TINY_SCALING, seed=4, out_dir=tmp_path / "a")

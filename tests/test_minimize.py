@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lincore.minimize
 from lincore import BracketSearchError, DomainError
 from lincore.minimize import minimize_convex
 
@@ -74,8 +75,9 @@ class TestAsymptotes:
         assert res.value[0] < 1e-12
         assert res.argmin[1] == pytest.approx(2.0, abs=1e-8)
 
-    def test_linear_objective_hits_width_cap(self):
+    def test_linear_objective_hits_width_cap(self, monkeypatch):
         """A function decreasing forever at a constant rate cannot bracket."""
+        monkeypatch.setattr(lincore.minimize, "_MAX_WIDTH", 1e4)
 
         def f(u):
             return -u
@@ -84,7 +86,7 @@ class TestAsymptotes:
             return np.full_like(u, -1.0)
 
         with pytest.raises(BracketSearchError):
-            minimize_convex(f, fp, np.array([-1.0]), np.array([1.0]), max_width=1e4)
+            minimize_convex(f, fp, np.array([-1.0]), np.array([1.0]))
 
 
 def test_flat_core_objective():

@@ -1,0 +1,40 @@
+"""The library surface the benchmark harness relies on.
+
+``perfbench/`` drives lincore from outside the program: its traced run wraps
+the functions named in ``perfbench/tracing.py``'s ``TRACED``, and a workload
+calls ``sgd_step`` with six positional arguments.  A rename or a signature
+change then fails here, in the test suite, instead of in a benchmark run.
+The harness file is loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import lincore.trainers
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_a_library_function():
+    traced = _load_tracing().TRACED
+    assert traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"lincore.{layer}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"lincore.{layer}.{name}"
+
+
+def test_sgd_step_takes_the_workload_positional_arguments():
+    """The neighbor-step check calls ``sgd_step(probe, x, y, config, proposal, rng)``."""
+    signature = inspect.signature(lincore.trainers.sgd_step)
+    signature.bind("probe", "x", "y", "config", "proposal", "rng")
+    assert list(signature.parameters)[:6] == ["model", "x", "y", "config", "proposal", "rng"]

@@ -1,7 +1,11 @@
 """Chain scorers, joint features, exact structured losses, regret oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincore import (
     BaseLoss,
@@ -419,3 +423,69 @@ class TestBatchedSumLoss:
             structured_sum_loss_exact(
                 LOG_ONE, ChainModel.zeros(5, 2), np.zeros((2, 6, 2)), np.zeros((2, 6), dtype=int)
             )
+
+
+N_LABELS, LENGTH, ROWS = 3, 3, 2
+
+
+@st.composite
+def label_arrays(draw):
+    """``(ROWS, LENGTH)`` labels that are in range, or that break the label
+    rule in every row: negative, too large, float, huge float or bool."""
+    kind = draw(st.sampled_from(["in_range", "negative", "too_large", "float", "huge_float", "bool"]))
+    cells = st.integers(0, N_LABELS - 1)
+    y = np.array(draw(st.lists(cells, min_size=ROWS * LENGTH, max_size=ROWS * LENGTH))).reshape(ROWS, LENGTH)
+    column = draw(st.integers(0, LENGTH - 1))
+    if kind == "in_range":
+        return kind, y.astype(draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint64])))
+    if kind == "negative":
+        y[:, column] = draw(st.integers(-(2**63), -1))
+        return kind, y
+    if kind == "too_large":
+        dtype = draw(st.sampled_from([np.int64, np.uint64]))
+        y = y.astype(dtype)
+        y[:, column] = draw(st.integers(N_LABELS, np.iinfo(dtype).max))
+        return kind, y
+    if kind == "float":
+        y = y.astype(np.float64)
+        y[:, column] += draw(st.sampled_from([0.0, 0.5, 0.7]))
+        return kind, y
+    if kind == "huge_float":
+        y = y.astype(np.float64)
+        y[:, column] = draw(st.sampled_from([1e30, -1e30, 2.0**63, np.inf, np.nan]))
+        return kind, y
+    return kind, y.astype(bool)
+
+
+@given(case=label_arrays(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_one_label_rule_at_every_entry_point(case, seed):
+    """Every chain entry point applies the same label rule, silently: all
+    accept or all raise DomainError, and batched rows keep the single bits."""
+    kind, y = case
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, N_LABELS, 2, scale=0.3)
+    x = rng.normal(size=(ROWS, LENGTH, 2))
+    calls = [lambda: structured_sum_loss_exact(LOG_ONE, model, x, y)]
+    for k in range(ROWS):
+        calls += [
+            lambda k=k: structured_sum_loss_exact(LOG_ONE, model, x[k], y[k]),
+            lambda k=k: sequence_score(model, x[k], y[k]),
+            lambda k=k: all_sequence_scores(model, x[k], y),
+            lambda k=k: joint_feature(N_LABELS, x[k], y[k]),
+        ]
+    outcomes = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for call in calls:
+            try:
+                outcomes.append(call())
+            except DomainError:
+                outcomes.append(None)
+    assert not caught, [str(w.message) for w in caught]
+    if kind != "in_range":
+        assert all(outcome is None for outcome in outcomes)
+        return
+    assert all(outcome is not None for outcome in outcomes)
+    singles = np.array(outcomes[1::4])
+    assert outcomes[0].tobytes() == singles.tobytes()
