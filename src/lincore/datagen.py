@@ -11,7 +11,7 @@ generators are pure functions of their spec (seed included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -70,16 +70,7 @@ def generate_hmm_data(spec: HmmSpec) -> SequenceData:
 
 def generate_hmm_split(spec: HmmSpec, n_test: int) -> SequenceData:
     """Train sequences from ``spec`` plus ``n_test`` extra test sequences."""
-    full = generate_hmm_data(
-        HmmSpec(
-            length=spec.length,
-            n_labels=spec.n_labels,
-            dim=spec.dim,
-            n_sequences=spec.n_sequences + n_test,
-            seed=spec.seed,
-            transition_temperature=spec.transition_temperature,
-        )
-    )
+    full = generate_hmm_data(replace(spec, n_sequences=spec.n_sequences + n_test))
     return SequenceData(
         train=full.train[: spec.n_sequences],
         test=full.train[spec.n_sequences :],

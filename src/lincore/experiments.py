@@ -39,7 +39,7 @@ from .losses import _BASE_KINDS, _SIDES, BaseLoss, LinearCoreSpec, ONE_SIDED, SY
 from .multiclass import _softmax, _softmax_gradients, _sum_loss_gradient
 from .rng import DOMAIN_NOISE_TRAIN, stream_rng
 from .structured import ChainModel
-from .trainers import PairProposal, TrainConfig, TrainResult, _training_steps, sgd_step, sgd_train
+from .trainers import PairProposal, TrainConfig, TrainResult, sgd_train
 
 # The environment variables that set the BLAS thread count; unset ones
 # are recorded as null.
@@ -126,11 +126,27 @@ def _base_from_name(name: str) -> BaseLoss:
     return BaseLoss(name)
 
 
+def _is_count(value, lo: int, hi=np.inf) -> bool:
+    """Whether ``value`` is an integer in ``[lo, hi]``; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite number; a bool or a numeric string is not one."""
+    return _is_count(value, -np.inf) or isinstance(value, (float, np.floating)) and np.isfinite(value)
+
+
 def _check_count(cfg: dict, key: str, lo: int, hi=np.inf) -> None:
     """Reject a ``key`` setting that is not an integer in ``[lo, hi]``."""
-    value = cfg[key]
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not lo <= value <= hi:
-        raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
+    if not _is_count(cfg[key], lo, hi):
+        raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {cfg[key]!r}")
+
+
+def _check_entries(cfg: dict, key: str, ok, what: str) -> None:
+    """Reject a ``key`` setting that is not a list whose every entry passes ``ok``."""
+    values = cfg[key]
+    if not isinstance(values, (list, tuple)) or not all(ok(value) for value in values):
+        raise ConfigError(f"{key} must be a list of {what}, got {values!r}")
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +219,8 @@ def run_stability(
     """Rate slopes across core half-widths, including the vanishing-core limit."""
     cfg = _merge_config(STABILITY_DEFAULTS, config)
     t0 = time.perf_counter()
+    for key in ("robust_taus", "vanishing_taus"):
+        _check_entries(cfg, key, _is_real, "finite numbers")
     if not (cfg["robust_taus"] or cfg["vanishing_taus"]):
         raise ConfigError("robust_taus and vanishing_taus must not both be empty")
     base = _base_from_name(cfg["base"])
@@ -260,20 +278,21 @@ def run_scaling(
 ) -> ScalingResult:
     """Median per-batch update time for each method across label-set sizes.
 
-    Every batch is timed individually on the monotonic clock; warm-up
-    batches are discarded; the reported value is the median and the
-    coefficient of variation flags jittery measurements.  Updates run on a
-    single worker.
+    Each row is one :func:`sgd_train` run without evaluation: batch ``t`` is
+    the single-instance step of iteration ``t``, timed on the monotonic
+    clock; warm-up batches are discarded; the reported value is the median
+    and the coefficient of variation flags jittery measurements.  Updates
+    run on a single worker.
     """
     cfg = _merge_config(SCALING_DEFAULTS, config)
     t0 = time.perf_counter()
     # An empty timing list has a NaN median; an empty sweep, a header-only CSV.
     _check_count(cfg, "warmup_batches", 0)
     _check_count(cfg, "timed_batches", 1)
+    _check_entries(cfg, "label_sizes", lambda n: _is_count(n, 2), "integers >= 2")
     if not (cfg["label_sizes"] and cfg["methods"]):
         raise ConfigError("label_sizes and methods must not be empty")
     rows: list[ScalingRow] = []
-    total = cfg["warmup_batches"] + cfg["timed_batches"]
     for n_labels in cfg["label_sizes"]:
         data = generate_hmm_split(
             HmmSpec(
@@ -285,27 +304,15 @@ def run_scaling(
             ),
             n_test=0,
         )
-        train = [
-            (np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64))
-            for x, y in data.train
-        ]
         for method in cfg["methods"]:
             train_cfg = TrainConfig(
                 eta=cfg["eta"],
+                iterations=cfg["warmup_batches"] + cfg["timed_batches"],
                 objective=method,
                 seed=seed,
                 corruption_rate=cfg["corruption_rate"],
             )
-            proposal = PairProposal(cfg["corruption_rate"])
-            model = ChainModel.zeros(int(n_labels), cfg["dim"])
-            times = []
-            # Batch t is the single-instance training step of iteration t.
-            for _, _, idx, rng in _training_steps(seed, len(train), 1, 0, total):
-                x, y = train[idx]
-                tick = time.perf_counter()
-                sgd_step(model, x, y, train_cfg, proposal, rng)
-                times.append(time.perf_counter() - tick)
-            timed = np.array(times[cfg["warmup_batches"] :])
+            timed = sgd_train(data, train_cfg).step_seconds[cfg["warmup_batches"] :]
             median = float(np.median(timed))
             cv = float(np.std(timed) / np.mean(timed))
             rows.append(

@@ -41,6 +41,23 @@ def _check_scores(scores, what: str = "scores") -> np.ndarray:
     return arr
 
 
+def _integer_labels(y) -> np.ndarray:
+    """Labels as int64; a float label would otherwise be truncated silently."""
+    labels = np.asarray(y)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
+def _check_labels(y, n_labels: int) -> np.ndarray:
+    """Labels as int64, each in ``[0, n_labels)``: the one label rule."""
+    labels = _integer_labels(y)
+    # A negative label views above any count.
+    if labels.size and labels.view(np.uint64).max() >= n_labels:
+        raise DomainError("label out of range")
+    return labels
+
+
 def _check_distribution(p) -> np.ndarray:
     arr = _check_scores(p, "probabilities")
     if np.any(arr < 0.0) or np.any(np.abs(np.sum(arr, axis=-1) - 1.0) > 1e-12):
@@ -74,11 +91,9 @@ def _unbatch(batched: bool, *values):
 def _batched(kernel, scores, y, *args):
     """Validate ``scores`` and their labels ``y``, then run ``kernel`` on them as a batch."""
     scores = _check_scores(scores)
-    labels = np.asarray(y)
-    if labels.shape != scores.shape[:-1] or labels.dtype.kind not in "iu":
-        raise DomainError("need one integer label per score row")
-    if np.any((labels < 0) | (labels >= scores.shape[-1])):
-        raise DomainError(f"labels must lie in [0, {scores.shape[-1]})")
+    labels = _check_labels(y, scores.shape[-1])
+    if labels.shape != scores.shape[:-1]:
+        raise DomainError("need one label per score row")
     if scores.ndim == 2:
         return kernel(scores, labels, *args)
     out = kernel(scores[None], labels[None], *args)

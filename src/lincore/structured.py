@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationLimitError
 from .losses import LinearCoreSpec, lc_derivative, lc_value
-from .multiclass import _oracle_batch, _surrogate_regret, _unbatch
+from .multiclass import _check_labels, _oracle_batch, _surrogate_regret, _unbatch
 
 ENUMERATION_LIMIT = 4096
 
@@ -86,23 +86,6 @@ def weights_to_model(weights: np.ndarray, n_labels: int, dim: int) -> ChainModel
     unary = weights[: n_labels * dim].reshape(n_labels, dim)
     transition = weights[n_labels * dim :].reshape(n_labels, n_labels)
     return ChainModel(unary.copy(), transition.copy())
-
-
-def _integer_labels(y) -> np.ndarray:
-    """Labels as int64; a float label would otherwise be truncated silently."""
-    labels = np.asarray(y)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
-    return labels.astype(np.int64, copy=False)
-
-
-def _check_labels(y, n_labels: int) -> np.ndarray:
-    """Labels as int64, each in ``[0, n_labels)``: the one label rule."""
-    labels = _integer_labels(y)
-    # A negative label views above any count.
-    if labels.size and labels.view(np.uint64).max() >= n_labels:
-        raise DomainError("label out of range")
-    return labels
 
 
 def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray | None]:

@@ -43,6 +43,7 @@ from .inference import (
     ssvm_loss_and_subgradient,
 )
 from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, lc_derivative
+from .multiclass import _integer_labels
 from .rng import (
     DOMAIN_DIAGNOSTIC,
     DOMAIN_TRAIN_INSTANCE,
@@ -57,7 +58,6 @@ from .structured import (
     FeatureDelta,
     _chain_scores,
     _check_instance,
-    _integer_labels,
     _touched,
     all_sequence_scores,
     enumerate_sequences,
@@ -262,6 +262,8 @@ def lc_ksample_gradient_estimate(
 ) -> np.ndarray:
     """Average of ``n_negatives`` uniform-competitor margin gradients."""
     x, y_star = _check_instance(model, x, y_star)
+    if n_negatives < 1:
+        raise DomainError("need at least one negative sample")
     return _ksample_delta(model, x, y_star, spec, n_negatives, rng).dense()
 
 
@@ -273,8 +275,6 @@ def _ksample_delta(
     n_negatives: int,
     rng: np.random.Generator,
 ) -> FeatureDelta:
-    if n_negatives < 1:
-        raise DomainError("need at least one negative sample")
     negatives = rng.integers(0, model.n_labels, size=(n_negatives, y_star.size))
     scores = _chain_scores(model, x, np.concatenate([y_star[None], negatives]))
     coeffs = lc_derivative(spec, scores[0] - scores[1:]) / n_negatives
@@ -383,8 +383,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.eta >= 0.0:
             raise DomainError("step size must be non-negative")
-        if not 0 <= self.iterations < 2**32 or self.batch_size < 1:
-            raise DomainError("need 0 <= iterations < 2**32 and batch_size >= 1")
+        if not 0 <= self.iterations < 2**32 or self.batch_size < 1 or self.n_negatives < 1:
+            raise DomainError("need 0 <= iterations < 2**32, batch_size >= 1 and n_negatives >= 1")
         if self.eval_interval > 0 and self.eval_max_instances < 1:
             raise DomainError("evaluation needs eval_max_instances >= 1")
         if self.objective not in OBJECTIVES:
@@ -403,6 +403,7 @@ class HistoryRow:
 class TrainResult:
     model: ChainModel
     history: list
+    step_seconds: np.ndarray  # one per SGD step; evaluation and rekeying are off its clock
 
 
 def _length_groups(instances) -> list:
@@ -485,8 +486,8 @@ def _apply_pair_update(
             model_transition[y_inner[j], y_inner[j + 1]] += step
 
 
-def _training_steps(seed: int, n_train: int, batch_size: int, first: int, stop: int):
-    """Yield ``(t, slot, index, rng)`` for each step of iterations ``first .. stop - 1``.
+def _training_steps(seed: int, n_train: int, batch_size: int, iterations: int):
+    """Yield ``(t, slot, index, rng)`` for each step of iterations ``1 .. iterations``.
 
     Iteration ``t`` picks its ``batch_size`` instances from the ``(seed,
     DOMAIN_TRAIN_INSTANCE, t)`` stream; slot ``s`` trains on pick ``s`` and
@@ -494,10 +495,10 @@ def _training_steps(seed: int, n_train: int, batch_size: int, first: int, stop: 
     one generator rekeyed to each stream in turn, so a step must be done
     with it before the next step is drawn.
     """
-    pick_keys = iteration_keys(seed, DOMAIN_TRAIN_INSTANCE, first, stop)
-    sample_keys = iteration_keys(seed, DOMAIN_TRAIN_SAMPLE, first, stop, batch_size)
+    pick_keys = iteration_keys(seed, DOMAIN_TRAIN_INSTANCE, 1, iterations + 1)
+    sample_keys = iteration_keys(seed, DOMAIN_TRAIN_SAMPLE, 1, iterations + 1, batch_size)
     rng = keyed_rng()
-    for t, (pick_key,), slot_keys in zip(range(first, stop), pick_keys, sample_keys):
+    for t, (pick_key,), slot_keys in zip(range(1, iterations + 1), pick_keys, sample_keys):
         picks = rekey(rng, pick_key).integers(0, n_train, size=batch_size)
         for slot, (idx, key) in enumerate(zip(picks, slot_keys)):
             yield t, slot, int(idx), rekey(rng, key)
@@ -508,7 +509,7 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
 
     Histories are deterministic functions of (data, config): instance picks
     and estimator draws come from (seed, iteration, slot) streams; only the
-    wall-clock column varies across reruns.
+    wall-clock column and ``step_seconds`` vary across reruns.
     """
     if not data.train:
         raise DomainError("training set is empty")
@@ -554,15 +555,17 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     if config.eval_interval > 0:
         record(0)
     scale = config.eta / config.batch_size
-    steps = _training_steps(config.seed, len(train), config.batch_size, 1, config.iterations + 1)
+    step_seconds = []
+    steps = _training_steps(config.seed, len(train), config.batch_size, config.iterations)
     for t, slot, idx, rng in steps:
-        x, y = train[idx]
-        sgd_step(model, x, y, config, proposal, rng, step=scale)
+        tick = time.perf_counter()
+        sgd_step(model, *train[idx], config, proposal, rng, step=scale)
+        step_seconds.append(time.perf_counter() - tick)
         if slot == config.batch_size - 1 and config.eval_interval > 0 and t % config.eval_interval == 0:
             record(t)
     if config.eval_interval > 0 and (not history or history[-1].iteration != config.iterations):
         record(config.iterations)
-    return TrainResult(model=model, history=history)
+    return TrainResult(model=model, history=history, step_seconds=np.array(step_seconds))
 
 
 def sgd_step(

@@ -91,6 +91,24 @@ def test_bad_scaling_config_exits_1_without_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_scaling_label_size_exits_1_without_traceback(tmp_path):
+    """A non-integer label size used to end in a ValueError traceback."""
+    done = _run_bad_config(tmp_path, "scaling", {"label_sizes": ["x"], "timed_batches": 2})
+    assert done.returncode == 1
+    assert "error: label_sizes must be a list of integers >= 2, got ['x']" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_stability_tau_exits_1_without_traceback(tmp_path):
+    """A non-numeric tau used to end in a ValueError traceback."""
+    done = _run_bad_config(tmp_path, "stability", {"robust_taus": ["x"]})
+    assert done.returncode == 1
+    assert "error: robust_taus must be a list of finite numbers, got ['x']" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_selftest_passes_on_a_correct_build(capsys):
     """The invariant battery exits zero and reports every check."""
     code = main(["selftest"])

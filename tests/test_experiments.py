@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from lincore import ConfigError
+from lincore import ConfigError, DomainError
 from lincore.datagen import IdnSpec, generate_idn_dataset
 from lincore.experiments import (
     NOISE_DEFAULTS,
@@ -128,6 +128,24 @@ class TestStabilityDriver:
             run_stability(dict(TINY_STABILITY, robust_taus=[], vanishing_taus=[]), out_dir=tmp_path)
         assert not (tmp_path / "stability.csv").exists()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"robust_taus": ["x"]},
+            {"vanishing_taus": [1e-3, "0.1"]},
+            {"robust_taus": [float("nan")]},
+            {"vanishing_taus": [float("inf")]},
+            {"robust_taus": [True]},
+            {"robust_taus": 1.0},
+        ],
+        ids=repr,
+    )
+    def test_bad_tau_entries_rejected(self, bad, tmp_path):
+        """A non-numeric tau used to end in a ValueError from ``float``."""
+        with pytest.raises(ConfigError):
+            run_stability(dict(TINY_STABILITY, **bad), out_dir=tmp_path)
+        assert not (tmp_path / "stability.csv").exists()
+
 
 class TestTrainSeqDriver:
     def test_history_csv_schema(self, tmp_path):
@@ -153,6 +171,16 @@ class TestTrainSeqDriver:
     def test_bad_objective_rejected(self):
         with pytest.raises(Exception):
             run_train_seq(dict(TINY_TRAIN, objective="adaboost"))
+
+    def test_zero_negatives_rejected_before_the_first_evaluation(self, monkeypatch):
+        """``n_negatives = 0`` used to pass one exact evaluation before the first step raised."""
+        import lincore.trainers
+
+        calls = []
+        monkeypatch.setattr(lincore.trainers, "_mean_objective", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="n_negatives"):
+            run_train_seq(dict(TINY_TRAIN, objective="lincore_ksample", n_negatives=0))
+        assert calls == []
 
 
 class TestNoiseDriver:
@@ -303,6 +331,11 @@ class TestScalingDriver:
             {"warmup_batches": -1},
             {"label_sizes": []},
             {"methods": []},
+            {"label_sizes": ["x"]},
+            {"label_sizes": [2.5]},
+            {"label_sizes": [1]},
+            {"label_sizes": [True]},
+            {"label_sizes": 4},
         ],
         ids=repr,
     )
@@ -359,6 +392,7 @@ def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
 def test_scaling_batches_draw_the_stream_rng_streams(monkeypatch):
     """Each timed batch trains on the instance and stream stream_rng defines."""
     import lincore.experiments as experiments
+    import lincore.trainers
     from lincore.rng import DOMAIN_TRAIN_INSTANCE, DOMAIN_TRAIN_SAMPLE, stream_rng
 
     seen = []
@@ -366,13 +400,13 @@ def test_scaling_batches_draw_the_stream_rng_streams(monkeypatch):
     def record_step(model, x, y, config, proposal, rng, **kwargs):
         seen.append((x.tobytes(), rng.integers(0, 2**62, size=3).tolist()))
 
-    monkeypatch.setattr(experiments, "sgd_step", record_step)
+    monkeypatch.setattr(lincore.trainers, "sgd_step", record_step)
     run_scaling(dict(TINY_SCALING, label_sizes=[4], methods=["lincore", "ssvm"]), seed=3)
     data = experiments.generate_hmm_split(
         experiments.HmmSpec(length=5, n_labels=4, dim=4, n_sequences=4, seed=3), n_test=0
     )
     want = []
-    for t in range(TINY_SCALING["warmup_batches"] + TINY_SCALING["timed_batches"]):
+    for t in range(1, TINY_SCALING["warmup_batches"] + TINY_SCALING["timed_batches"] + 1):
         x, _ = data.train[int(stream_rng(3, DOMAIN_TRAIN_INSTANCE, t).integers(0, 4))]
         want.append((x.tobytes(), stream_rng(3, DOMAIN_TRAIN_SAMPLE, t, 0).integers(0, 2**62, size=3).tolist()))
     assert seen == want + want

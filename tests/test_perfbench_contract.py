@@ -2,17 +2,23 @@
 
 ``perfbench/`` drives lincore from outside the program: its traced run wraps
 the functions named in ``perfbench/tracing.py``'s ``TRACED``, and a workload
-calls ``sgd_step`` with six positional arguments.  A rename or a signature
-change then fails here, in the test suite, instead of in a benchmark run.
+calls ``sgd_step`` with six positional arguments and reads the result fields
+named below.  A rename or a signature change then fails here, in the test
+suite, instead of in a benchmark run.
 The harness file is loaded by path and only read.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import lincore.trainers
+from lincore.experiments import TrainSeqResult
+from lincore.trainers import HistoryRow, TrainResult
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +44,17 @@ def test_sgd_step_takes_the_workload_positional_arguments():
     signature = inspect.signature(lincore.trainers.sgd_step)
     signature.bind("probe", "x", "y", "config", "proposal", "rng")
     assert list(signature.parameters)[:6] == ["model", "x", "y", "config", "proposal", "rng"]
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (TrainResult, {"model", "history"}),
+        (HistoryRow, {"iteration", "objective", "test_error"}),
+        (TrainSeqResult, {"result", "config"}),
+    ],
+    ids=["TrainResult", "HistoryRow", "TrainSeqResult"],
+)
+def test_result_fields_the_workloads_read(cls, names):
+    """``sgd_train(...).model`` and ``run_train_seq(...).result.history[-1].test_error``, say."""
+    assert names <= {field.name for field in dataclasses.fields(cls)}

@@ -1,5 +1,7 @@
 """Stochastic estimators: unbiasedness, variance, and the SGD driver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,15 @@ class TestKSampleEstimator:
         stderr = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(mean - target) <= 4 * stderr + 1e-9)
 
+    def test_zero_negatives_rejected(self):
+        model = ChainModel.zeros(3, 2)
+        with pytest.raises(DomainError):
+            lc_ksample_gradient_estimate(
+                model, np.zeros((4, 2)), np.zeros(4, dtype=int), ONE_LOG, 0, stream_rng(0, 0)
+            )
+        with pytest.raises(DomainError):
+            TrainConfig(objective="lincore_ksample", n_negatives=0)
+
     def test_single_terms_bounded_by_twice_feature_radius(self):
         rng = np.random.default_rng(9)
         model = ChainModel(0.5 * rng.normal(size=(3, 2)), 0.5 * rng.normal(size=(3, 3)))
@@ -381,6 +392,31 @@ class TestSgdTrain:
             data, TrainConfig(eta=0.1, iterations=2500, objective="crf", eval_interval=2500)
         )
         assert result.history[-1].test_error <= 0.25
+
+    def test_step_seconds_time_the_steps_alone(self, monkeypatch):
+        """One entry per step; evaluation and rekeying stay off the step clock."""
+        clock = [0.0]
+        real_step, real_objective = trainers.sgd_step, trainers._mean_objective
+
+        def one_second_step(*args, **kwargs):
+            clock[0] += 1.0
+            real_step(*args, **kwargs)
+
+        def slow_objective(*args):
+            clock[0] += 100.0
+            return real_objective(*args)
+
+        monkeypatch.setattr(trainers, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(trainers, "sgd_step", one_second_step)
+        monkeypatch.setattr(trainers, "_mean_objective", slow_objective)
+        config = TrainConfig(
+            eta=0.05, iterations=12, batch_size=2, objective="crf", eval_interval=4
+        )
+        result = sgd_train(tiny_data(), config)
+        assert result.step_seconds.tolist() == [1.0] * 24
+        assert [row.iteration for row in result.history] == [0, 4, 8, 12]
+        empty = sgd_train(tiny_data(), TrainConfig(iterations=0)).step_seconds
+        assert empty.shape == (0,)
 
 
 def test_stream_rng_is_stable():
