@@ -17,6 +17,7 @@ separates the two regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,23 +80,18 @@ def weighted_margin_infimum(loss: MarginLoss, w_pos, w_neg) -> MinimizeResult:
         raise DomainError("pair weights must not both vanish")
     pos = w_pos > 0.0
     neg = w_neg > 0.0
+    w_p = w_pos[pos]
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def weighted(fn, w_neg_side: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``w_pos*fn(u) + w_neg_side*fn(-u)``: one ``fn`` call on both sides' points."""
+        at = np.asarray(fn(np.concatenate([u[pos], -u[neg]])), dtype=np.float64)
         out = np.zeros_like(u)
-        if np.any(pos):
-            out[pos] = w_pos[pos] * np.asarray(loss.value(u[pos]), dtype=np.float64)
-        if np.any(neg):
-            out[neg] += w_neg[neg] * np.asarray(loss.value(-u[neg]), dtype=np.float64)
+        out[pos] = w_p * at[: w_p.size]
+        out[neg] += w_neg_side * at[w_p.size :]
         return out
 
-    def g_prime(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        if np.any(pos):
-            out[pos] = w_pos[pos] * np.asarray(loss.derivative(u[pos]), dtype=np.float64)
-        if np.any(neg):
-            out[neg] -= w_neg[neg] * np.asarray(loss.derivative(-u[neg]), dtype=np.float64)
-        return out
-
+    g = partial(weighted, loss.value, w_neg[neg])
+    g_prime = partial(weighted, loss.derivative, -w_neg[neg])
     lo = np.full(w_pos.shape, -loss.bracket_halfwidth)
     hi = np.full(w_pos.shape, loss.bracket_halfwidth)
     return minimize_convex(g, g_prime, lo, hi)

@@ -57,6 +57,10 @@ def _merge_config(defaults: dict, overrides: dict | None) -> dict:
         unknown = set(overrides) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in overrides.items():
+            ok, what = _KINDS[type(defaults[key])]
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
         config.update(overrides)
     return config
 
@@ -134,6 +138,15 @@ def _is_count(value, lo: int, hi=np.inf) -> bool:
 def _is_real(value) -> bool:
     """Whether ``value`` is a finite number; a bool or a numeric string is not one."""
     return _is_count(value, -np.inf) or isinstance(value, (float, np.floating)) and np.isfinite(value)
+
+
+# The check an override must pass, and its description, by its default's type.
+_KINDS = {
+    int: (lambda value: _is_count(value, -np.inf), "an integer"),
+    float: (_is_real, "a finite number"),
+    str: (lambda value: isinstance(value, str), "a string"),
+    list: (lambda value: isinstance(value, (list, tuple)), "a list"),
+}
 
 
 def _check_count(cfg: dict, key: str, lo: int, hi=np.inf) -> None:

@@ -138,7 +138,7 @@ class LinearCoreSpec:
 
 def _as_array(u) -> tuple[np.ndarray, bool]:
     arr = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("u must be finite")
     return np.atleast_1d(arr), arr.ndim == 0
 
@@ -165,7 +165,7 @@ def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
 def _base_at(base: BaseLoss, u, order: int):
     """The checked edge of the base kernel: one validation, then ``_base``."""
     arr, scalar = _as_array(u)
-    if base.kind == EXPONENTIAL and arr.size and np.max(arr) > _EXP_INPUT_LIMIT:
+    if base.kind == EXPONENTIAL and arr.size and arr.max() > _EXP_INPUT_LIMIT:
         raise EvaluationOverflowError(f"exponential base overflow at u={np.max(arr):.3g}")
     return _maybe_scalar(_base(base, arr, order), scalar)
 
@@ -208,11 +208,11 @@ def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = No
         out = np.full_like(arr, -1.0 if order == 1 else 0.0)
     sign = -1.0 if order == 1 else 1.0
     right = arr >= tau if knot == RIGHT else arr > tau
-    if np.any(right):
+    if right.any():
         out[right] = sign * _base(spec.base, tau - arr[right], order) / slope0
     if spec.side == SYMMETRIC:
         left = arr <= -tau if knot == LEFT else arr < -tau
-        if np.any(left):
+        if left.any():
             tail = sign * _base(spec.base, -tau - arr[left], order) / slope0
             out[left] = tail + 2.0 * tau if order == 0 else tail
     return out
@@ -221,7 +221,7 @@ def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = No
 def _lc_at(spec: LinearCoreSpec, u, order: int, knot: str | None = None):
     """The checked edge of the surrogate kernel: one validation, then ``_lc``."""
     arr, scalar = _as_array(u)
-    if spec.base.kind == EXPONENTIAL and arr.size and np.max(np.abs(arr)) > _EXP_INPUT_LIMIT:
+    if spec.base.kind == EXPONENTIAL and arr.size and np.abs(arr).max() > _EXP_INPUT_LIMIT:
         raise EvaluationOverflowError(
             "exponential-tail surrogate overflow: |u| > "
             f"{_EXP_INPUT_LIMIT:g} (got {np.max(np.abs(arr)):.3g})"

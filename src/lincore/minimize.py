@@ -16,6 +16,12 @@ is then reported as the asymptotic infimum.  A bracket wider than
 ``_MAX_WIDTH``, or still open after ``_MAX_DOUBLINGS`` doublings, with
 neither condition met raises :class:`~lincore.errors.BracketSearchError`
 with the offending problem indices.
+
+The golden-section contraction then runs at most ``_N_ITER`` steps.  It
+stops once its state ``(lo, hi, x1, x2, f1, f2)`` equals (``==``, so never
+under NaN) the state two steps back.  That stop is exact for a pure
+``value``: the state cycles with period 2 from there, re-probing only points
+already evaluated, and the best point moves only on a strict ``<``.
 """
 
 from __future__ import annotations
@@ -113,25 +119,28 @@ def minimize_convex(
         lo, hi = edges
 
     # Golden-section contraction.  Each iteration evaluates one new point
-    # per problem and keeps the sub-interval containing the smaller value.
+    # per problem and keeps the sub-interval containing the smaller value,
+    # until the state repeats the one two steps back (see above).
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1 = value(x1)
     f2 = value(x2)
+    older, newer = None, (lo, hi, x1, x2, f1, f2)
     for _ in range(_N_ITER):
         take_left = f1 <= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
-        x1_new = np.where(take_left, hi - _INV_GOLDEN * (hi - lo), x2)
-        x2_new = np.where(take_left, x1, lo + _INV_GOLDEN * (hi - lo))
-        f1_keep = np.where(take_left, f1, f2)
-        probe = np.where(take_left, x1_new, x2_new)
+        width = hi - lo
+        probe = np.where(take_left, hi - _INV_GOLDEN * width, lo + _INV_GOLDEN * width)
+        x1, x2 = np.where(take_left, probe, x2), np.where(take_left, x1, probe)
         f_probe = value(probe)
-        f1 = np.where(take_left, f_probe, f1_keep)
-        f2 = np.where(take_left, f1_keep, f_probe)
-        x1, x2 = x1_new, x2_new
+        f1, f2 = np.where(take_left, f_probe, f2), np.where(take_left, f1, f_probe)
         improved = f_probe < best_val
         best_arg = np.where(improved, probe, best_arg)
         best_val = np.minimum(best_val, f_probe)
+        state = (lo, hi, x1, x2, f1, f2)
+        if older is not None and all((a == b).all() for a, b in zip(state, older)):
+            break
+        older, newer = newer, state
 
     return MinimizeResult(argmin=best_arg, value=best_val, at_edge=at_edge)

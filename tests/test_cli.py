@@ -91,6 +91,15 @@ def test_bad_scaling_config_exits_1_without_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_rates_config_kind_exits_1_without_traceback(tmp_path):
+    """A string count used to end in a TypeError traceback from numpy."""
+    done = _run_bad_config(tmp_path, "rates", {"n_deltas": "x"})
+    assert done.returncode == 1
+    assert "error: n_deltas must be an integer, got 'x'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_scaling_label_size_exits_1_without_traceback(tmp_path):
     """A non-integer label size used to end in a ValueError traceback."""
     done = _run_bad_config(tmp_path, "scaling", {"label_sizes": ["x"], "timed_batches": 2})

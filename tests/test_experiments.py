@@ -73,6 +73,35 @@ class TestConfigHandling:
         run_noise(dict(TINY_NOISE), seed=0)
         assert NOISE_DEFAULTS == before
 
+    @pytest.mark.parametrize(
+        "driver, bad",
+        [
+            (run_rates, {"n_deltas": "x"}),
+            (run_rates, {"delta_min": "1e-3"}),
+            (run_rates, {"n_deltas": True}),
+            (run_stability, {"n_deltas": 2.5}),
+            (run_stability, {"base": 1}),
+            (run_stability, {"robust_delta_max": float("nan")}),
+            (run_scaling, {"dim": "x"}),
+            (run_scaling, {"methods": "lincore"}),
+            (run_noise, {"dim": 2.5}),
+            (run_noise, {"eta": [0.05]}),
+            (run_train_seq, {"eta": "x"}),
+            (run_train_seq, {"eval_interval": 1.5}),
+            (run_train_seq, {"objective": None}),
+        ],
+        ids=lambda value: value.__name__ if callable(value) else repr(value),
+    )
+    def test_override_of_the_wrong_kind_rejected(self, driver, bad, tmp_path):
+        """These ended in a TypeError traceback, or (eval_interval 1.5) trained silently."""
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be "):
+            driver(bad, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_for_a_float_default_accepted(self):
+        result = run_train_seq(dict(TINY_TRAIN, tau=1, n_test=np.int64(4), eta=np.float64(0.01)))
+        assert result.config["tau"] == 1
+
 
 class TestRatesDriver:
     def test_artifacts_and_schema(self, tmp_path):

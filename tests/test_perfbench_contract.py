@@ -1,10 +1,11 @@
 """The library surface the benchmark harness relies on.
 
 ``perfbench/`` drives lincore from outside the program: its traced run wraps
-the functions named in ``perfbench/tracing.py``'s ``TRACED``, and a workload
-calls ``sgd_step`` with six positional arguments and reads the result fields
-named below.  A rename or a signature change then fails here, in the test
-suite, instead of in a benchmark run.
+the functions named in ``perfbench/tracing.py``'s ``TRACED`` and tags each
+``minimize_convex`` call with its problem count, and a workload calls
+``sgd_step`` with six positional arguments and reads the result fields named
+below.  A rename or a signature change then fails here, in the test suite,
+instead of in a benchmark run.
 The harness file is loaded by path and only read.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import lincore.minimize
 import lincore.trainers
 from lincore.experiments import TrainSeqResult
 from lincore.trainers import HistoryRow, TrainResult
@@ -44,6 +46,16 @@ def test_sgd_step_takes_the_workload_positional_arguments():
     signature = inspect.signature(lincore.trainers.sgd_step)
     signature.bind("probe", "x", "y", "config", "proposal", "rng")
     assert list(signature.parameters)[:6] == ["model", "x", "y", "config", "proposal", "rng"]
+
+
+def test_minimize_convex_takes_the_tagged_arguments():
+    """``_minimize_tag`` reads the problem count from ``lo``/``hi``, the third
+    and fourth positional arguments, beside an ``expand`` keyword."""
+    signature = inspect.signature(lincore.minimize.minimize_convex)
+    signature.bind("value", "derivative", "lo", "hi", expand=False)
+    assert list(signature.parameters)[:4] == ["value", "derivative", "lo", "hi"]
+    tag = _load_tracing()._minimize_tag
+    assert tag("value", "derivative", [0.0, -1.0, 2.0], 5.0, expand=False) == 3
 
 
 @pytest.mark.parametrize(
