@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,9 +131,9 @@ class LinearCoreSpec:
                 f"core half-width must be finite and >= {_MIN_TAU}, got {self.tau}"
             )
 
-    @property
+    @cached_property
     def intercept(self) -> float:
-        """The additive constant Phi(0)/Phi'(0) shared by all branches."""
+        """The additive constant Phi(0)/Phi'(0) shared by all branches, computed once."""
         return self.base.value_at_zero / self.base.slope_at_zero
 
 

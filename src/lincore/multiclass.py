@@ -128,14 +128,27 @@ def _onehot_rows(n: int) -> np.ndarray:
     return eye
 
 
+def _class_max(scores):
+    """``scores.max(axis=-1, keepdims=True)`` without a reduction's per-call cost.
+
+    Max is exact in any order.  Only a tied zero's sign may differ, and no
+    caller sees it: a shifted zero is exponentiated (``exp(+-0) == 1``) or
+    subtracted from a log-sum of at least ``log 2``.
+    """
+    top = scores[..., 0]
+    for c in range(1, scores.shape[-1]):
+        top = np.maximum(top, scores[..., c])
+    return top[..., None]
+
+
 def _softmax(scores):
-    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = np.exp(scores - _class_max(scores))
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
 def _ce_loss(scores, labels):
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - _class_max(scores)
     return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(labels.size), labels]
 
 
@@ -149,13 +162,13 @@ def _softmax_gradients(scores, labels, qs):
     ``q = 0`` is cross-entropy, bit for bit: ``p_y ** 0.0 == 1`` and
     ``1.0 * g == g``.  Each ``q`` is raised as a Python float, one row at a
     time: numpy sends a scalar ``** 0.5`` to ``sqrt``, while an array of
-    exponents goes through ``pow``, which can differ in the last bit.
+    exponents goes through ``pow``, which can differ in the last bit.  The
+    stacked powers then scale every row in one multiply.
     """
     grads = _softmax(scores)
     p_y = grads[:, np.arange(labels.size), labels]
     grads -= _onehot_rows(scores.shape[-1])[labels]
-    for grad, p, q in zip(grads, p_y, qs):
-        grad *= (p ** float(q))[:, None]
+    grads *= np.array([p ** float(q) for p, q in zip(p_y, qs)])[..., None]
     return grads
 
 

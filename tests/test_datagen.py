@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
+
+import lincore.datagen
 
 from lincore import (
     DomainError,
@@ -11,6 +17,7 @@ from lincore import (
     generate_hmm_split,
     generate_idn_dataset,
 )
+from lincore.datagen import _calibrate_scale
 from lincore.rng import DOMAIN_HMM_DATA, stream_rng
 
 
@@ -150,3 +157,50 @@ def test_cdf_label_draws_match_choice_loop_bitwise(spec):
     for (x, y), (x_ref, y_ref) in zip(got, want):
         assert y.tobytes() == y_ref.tobytes()
         assert x.tobytes() == x_ref.tobytes()
+
+
+def _full_bisection(distance, target):
+    """The calibration run for all 200 steps, and the step that first left
+    ``(lo, hi)`` unchanged (``None`` if none did)."""
+    lo, hi, still = 1e-9, 1e9, None
+    for step in range(200):
+        mid = np.sqrt(lo * hi)
+        before = (lo, hi)
+        if float(np.mean(expit(-distance / mid))) < target:
+            lo = mid
+        else:
+            hi = mid
+        if still is None and (lo, hi) == before:
+            still = step
+    return float(np.sqrt(lo * hi)), still
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@given(
+    distance=hnp.arrays(
+        np.float64, st.integers(1, 300), elements=st.floats(0.0, 1e6, allow_subnormal=True)
+    ),
+    target=st.floats(1e-6, 0.4999),
+)
+@settings(max_examples=150, deadline=None)
+def test_calibration_early_stop_keeps_the_scale_bits(distance, target):
+    assert _bits(_calibrate_scale(distance, target)) == _bits(_full_bisection(distance, target)[0])
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.2, 0.3, 0.49])
+def test_calibration_stops_where_the_bracket_first_stands_still(monkeypatch, rate):
+    distance = np.abs(np.random.default_rng(5).normal(size=4000))
+    want, still = _full_bisection(distance, rate)
+    calls = []
+    monkeypatch.setattr(lincore.datagen, "expit", lambda x: calls.append(1) or expit(x))
+    assert _bits(_calibrate_scale(distance, rate)) == _bits(want)
+    assert still is not None and len(calls) == still + 1 < 200
+
+
+def test_calibration_of_nan_distances_matches_the_full_loop():
+    """A NaN mean probability never falls below the target: the bracket shrinks onto lo."""
+    distance = np.array([1.0, np.nan, 2.0])
+    assert _bits(_calibrate_scale(distance, 0.3)) == _bits(_full_bisection(distance, 0.3)[0])

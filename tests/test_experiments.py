@@ -302,15 +302,17 @@ def _per_loss_fit(x, y, cfg, seed, grad_scores, *params):
     return weights
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.5, 1.0]], ids=["sqrt", "grid"])
-def test_stacked_fit_matches_per_loss_oracle_bitwise(seed, q_grid):
+def test_stacked_fit_matches_per_loss_oracle_bitwise(seed, q_grid, n_classes):
     """Every row of the stacked fit is the per-loss fit on the same batches, bit for bit.
 
     ``q = 0.5`` is the trap: numpy raises a scalar ``** 0.5`` with ``sqrt``, an
     array of exponents with ``pow``, and the two can differ in the last bit.
+    The oracle's softmax reduces the class axis, the stacked fit's does not.
     """
-    cfg = dict(NOISE_DEFAULTS, **dict(TINY_NOISE, q_grid=q_grid))
+    cfg = dict(NOISE_DEFAULTS, **dict(TINY_NOISE, q_grid=q_grid, n_classes=n_classes))
     data = generate_idn_dataset(
         IdnSpec(
             n_train=cfg["n_train"],

@@ -242,7 +242,8 @@ def test_knot_continuity_property(u, tau, kind):
 def _masked_lc_value(spec, u):
     """The surrogate with the core written through a boolean gather, as a reference."""
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    tau, c0, slope0 = spec.tau, spec.intercept, spec.base.slope_at_zero
+    tau, slope0 = spec.tau, spec.base.slope_at_zero
+    c0 = spec.base.value_at_zero / slope0
     out = np.empty_like(arr)
     right = arr > tau
     left = (arr < -tau) if spec.side == SYMMETRIC else np.zeros_like(right)
@@ -303,7 +304,14 @@ MASKED = {
 
 
 @pytest.mark.parametrize("quantity", MASKED)
-@pytest.mark.parametrize("spec", ALL_SPECS + [LinearCoreSpec(BaseLoss.logistic(), tau=0.3)])
+@pytest.mark.parametrize(
+    "spec",
+    ALL_SPECS
+    + [
+        LinearCoreSpec(BaseLoss.logistic(), tau=0.3),
+        LinearCoreSpec(BaseLoss.quartic_linear(a=0.7, offset=0.3), tau=1.3),
+    ],
+)
 def test_surrogate_matches_masked_reference_bitwise(spec, quantity):
     fn, reference = MASKED[quantity]
     rng = np.random.default_rng(17)
@@ -314,6 +322,18 @@ def test_surrogate_matches_masked_reference_bitwise(spec, quantity):
             got = fn(spec, value)
             assert type(got) is float
             assert np.float64(got).tobytes() == reference(spec, point).tobytes()
+
+
+@pytest.mark.parametrize("base", ALL_BASES + [BaseLoss.quartic_linear(a=0.7, offset=0.3)])
+def test_intercept_is_computed_once_per_spec(base):
+    """The cached intercept is ``Phi(0)/Phi'(0)`` and leaves equality and hashing alone."""
+    spec = LinearCoreSpec(base, tau=0.8)
+    assert "intercept" not in vars(spec)
+    want = base.value_at_zero / base.slope_at_zero
+    assert np.float64(spec.intercept).tobytes() == np.float64(want).tobytes()
+    assert vars(spec)["intercept"] is spec.intercept
+    twin = LinearCoreSpec(base, tau=0.8)
+    assert spec == twin and hash(spec) == hash(twin)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [LinearCoreSpec(BaseLoss.exponential(), tau=900.0)])

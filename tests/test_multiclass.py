@@ -309,3 +309,60 @@ class TestBatchFirst:
             mc_conditional_regrets(EXP_SYM, negative, np.zeros((2, 3)))
         with pytest.raises(DomainError):
             mc_conditional_regrets(EXP_SYM, np.array([np.nan, 0.5, 0.5]), np.zeros(3))
+
+
+def _reduction_softmax(scores):
+    """The softmax with the class max and sum both taken as numpy reductions."""
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _reduction_ce_loss(scores, labels):
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(labels.size), labels]
+
+
+def _reduction_softmax_gradients(scores, labels, qs):
+    """``p_y**q * (p - onehot(y))`` per ``(F, B, C)`` row, scaled one row at a time."""
+    grads = _reduction_softmax(scores)
+    p_y = grads[:, np.arange(labels.size), labels]
+    grads -= np.eye(scores.shape[-1])[labels]
+    for grad, p, q in zip(grads, p_y, qs):
+        grad *= (p ** float(q))[:, None]
+    return grads
+
+
+def _class_axis_scores(rng, shape):
+    """Random scores with tied maxima, all-equal rows, and rows of +0.0 and -0.0."""
+    scores = rng.normal(scale=4.0, size=shape)
+    rows = scores.reshape(-1, shape[-1])
+    n = shape[-1]
+    rows[0::5, : n // 2 + 1] = rows[0::5, :1]
+    rows[1::5] = 1.5
+    rows[2::5] = rng.choice([0.0, -0.0], size=(len(rows[2::5]), n))
+    rows[3::5, -1] = rows[3::5].max(axis=1)
+    return scores
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+def test_class_axis_kernels_match_reduction_form_bitwise(n):
+    """The kernels take the class max without a reduction, with the same bits."""
+    from lincore.multiclass import _ce_loss, _softmax, _softmax_gradients
+
+    rng = np.random.default_rng(23 + n)
+    qs = (0.0, 0.1, 0.5, 0.7, 1.0)
+    stacked = _class_axis_scores(rng, (len(qs), 64, n))
+    scores = _class_axis_scores(rng, (64, n))
+    labels = rng.integers(0, n, size=64)
+    assert np.array_equal(_softmax(stacked), _reduction_softmax(stacked))
+    assert np.array_equal(_softmax(scores), _reduction_softmax(scores))
+    assert np.array_equal(
+        _softmax_gradients(stacked, labels, qs), _reduction_softmax_gradients(stacked, labels, qs)
+    )
+    assert np.array_equal(_ce_loss(scores, labels), _reduction_ce_loss(scores, labels))
+    assert np.array_equal(ce_loss(scores, labels), _reduction_ce_loss(scores, labels))
+    for q in qs:
+        want = _reduction_softmax_gradients(scores[None], labels, (q,))[0]
+        got = ce_gradient(scores, labels) if q == 0.0 else gce_gradient(scores, labels, q)
+        assert np.array_equal(got, want)

@@ -3,9 +3,9 @@
 ``perfbench/`` drives lincore from outside the program: its traced run wraps
 the functions named in ``perfbench/tracing.py``'s ``TRACED`` and tags each
 ``minimize_convex`` call with its problem count, and a workload calls
-``sgd_step`` with six positional arguments and reads the result fields named
-below.  A rename or a signature change then fails here, in the test suite,
-instead of in a benchmark run.
+``sgd_step`` with six positional arguments and reads the result fields and
+config keys named below.  A rename or a signature change then fails here,
+in the test suite, instead of in a benchmark run.
 The harness file is loaded by path and only read.
 """
 
@@ -19,7 +19,16 @@ import pytest
 
 import lincore.minimize
 import lincore.trainers
-from lincore.experiments import TrainSeqResult
+from lincore.consistency import RatePoint, TauSlope
+from lincore.experiments import (
+    NOISE_DEFAULTS,
+    STABILITY_DEFAULTS,
+    GradientGroups,
+    NoiseResult,
+    RatesResult,
+    StabilityResult,
+    TrainSeqResult,
+)
 from lincore.trainers import HistoryRow, TrainResult
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -64,9 +73,25 @@ def test_minimize_convex_takes_the_tagged_arguments():
         (TrainResult, {"model", "history"}),
         (HistoryRow, {"iteration", "objective", "test_error"}),
         (TrainSeqResult, {"result", "config"}),
+        (NoiseResult, {"realized_flip_rates", "gradient_groups"}),
+        (GradientGroups, {"noisy"}),
+        (RatesResult, {"slopes", "points"}),
+        (RatePoint, {"loss_name", "excess_surrogate", "excess_target"}),
+        (StabilityResult, {"rows"}),
+        (TauSlope, {"tau", "slope"}),
     ],
-    ids=["TrainResult", "HistoryRow", "TrainSeqResult"],
+    ids=[
+        "TrainResult", "HistoryRow", "TrainSeqResult", "NoiseResult", "GradientGroups",
+        "RatesResult", "RatePoint", "StabilityResult", "TauSlope",
+    ],
 )
 def test_result_fields_the_workloads_read(cls, names):
-    """``sgd_train(...).model`` and ``run_train_seq(...).result.history[-1].test_error``, say."""
+    """``sgd_train(...).model`` and ``run_noise(...).gradient_groups["lc"].noisy``, say."""
     assert names <= {field.name for field in dataclasses.fields(cls)}
+
+
+def test_config_keys_the_noise_family_reads():
+    """The flip-rate check scales by the default ``n_train``; the stability
+    check picks its rows by the default ``robust_taus``."""
+    assert isinstance(NOISE_DEFAULTS["n_train"], int)
+    assert STABILITY_DEFAULTS["robust_taus"]
