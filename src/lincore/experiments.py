@@ -385,6 +385,7 @@ def run_train_seq(
     t0 = time.perf_counter()
     if cfg["side"] not in _SIDES:
         raise ConfigError(f"unknown smoothing side {cfg['side']!r}")
+    tick = time.perf_counter()
     data = generate_hmm_split(
         HmmSpec(
             length=cfg["length"],
@@ -396,6 +397,7 @@ def run_train_seq(
         ),
         n_test=cfg["n_test"],
     )
+    seconds_data = time.perf_counter() - tick
     spec = LinearCoreSpec(_base_from_name(cfg["base"]), side=cfg["side"], tau=cfg["tau"])
     train_cfg = TrainConfig(
         eta=cfg["eta"],
@@ -410,13 +412,19 @@ def run_train_seq(
         eval_interval=cfg["eval_interval"],
         eval_max_instances=cfg["eval_max_instances"],
     )
+    tick = time.perf_counter()
     result = sgd_train(data, train_cfg)
+    phases = {
+        "seconds_data": seconds_data,
+        "seconds_train": time.perf_counter() - tick,
+        "seconds_steps": float(result.step_seconds.sum()),
+    }
     history_rows = [
         (row.iteration, repr(row.objective), repr(row.test_error), repr(row.seconds))
         for row in result.history
     ]
     files = {"history.csv": (["iteration", "objective", "test_error", "seconds"], history_rows)}
-    _write_artifacts(out_dir, "train-seq", cfg, seed, t0, files)
+    _write_artifacts(out_dir, "train-seq", cfg, seed, t0, files, phases)
     return TrainSeqResult(result=result, config=cfg)
 
 

@@ -239,17 +239,14 @@ def lc_value(spec: LinearCoreSpec, u):
     return _lc_at(spec, u, 0)
 
 
-def _on_core(spec: LinearCoreSpec, u) -> bool:
-    """Whether ``u`` is a float where the array path returns slope -1.
+def _accepted_float(spec: LinearCoreSpec, u) -> bool:
+    """Whether ``u`` is a float the array path evaluates without raising.
 
-    That is a finite ``u <= tau`` (and ``>= -tau`` when symmetric) that the
-    exponential input guard accepts.
+    That is a finite ``u`` that the exponential input guard accepts.
     """
     return (
         isinstance(u, float)
         and math.isfinite(u)
-        and u <= spec.tau
-        and (spec.side == ONE_SIDED or u >= -spec.tau)
         and (spec.base.kind != EXPONENTIAL or abs(u) <= _EXP_INPUT_LIMIT)
     )
 
@@ -258,11 +255,21 @@ def lc_derivative(spec: LinearCoreSpec, u):
     """Evaluate the first derivative of the surrogate at ``u``.
 
     Equals -1 on the core (and for every u <= tau in the one-sided case);
-    continuous across the knots.  A float on the core returns -1.0 at once.
+    continuous across the knots.  A float skips the array set-up: the core
+    returns -1.0 at once, and a tail runs ``_lc``'s tail expression on its
+    one argument, so both give the array path's bits.  Any other input
+    takes the array path and its errors.
     """
-    if _on_core(spec, u):
+    if not _accepted_float(spec, u):
+        return _lc_at(spec, u, 1)
+    tau = spec.tau
+    if u > tau:
+        arg = tau - u
+    elif spec.side == SYMMETRIC and u < -tau:
+        arg = -tau - u
+    else:
         return -1.0
-    return _lc_at(spec, u, 1)
+    return float(-1.0 * _base(spec.base, np.array([arg]), 1)[0] / spec.base.slope_at_zero)
 
 
 def lc_branch_second_derivative(spec: LinearCoreSpec, u, side_limit: str):

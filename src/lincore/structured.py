@@ -38,6 +38,11 @@ ENUMERATION_LIMIT = 4096
 # elements to bound peak memory at the guard limit.
 _CHUNK_ELEMENTS = 2**22
 
+# The exact sum loss stacks as many instance rows per margin block as fit
+# roughly this many elements, so each block's surrogate temporaries stay in
+# cache (budgets from 2**13 to 2**16 time the same).
+_CACHE_ELEMENTS = 2**15
+
 
 @dataclass(frozen=True)
 class ChainModel:
@@ -283,7 +288,11 @@ def structured_sum_loss_exact(spec: LinearCoreSpec, model: ChainModel, x, y):
     ``(L, d)`` inputs with ``(L,)`` labels give a float.  ``(N, L, d)``
     inputs with ``(N, L)`` labels give one value per row, each bitwise the
     value of the row's own call: the label space is enumerated and scored
-    once, and the surrogate runs once per memory block of margins.
+    once, and the surrogate runs once per block of margins.  The anchors
+    split at the memory budget ``_CHUNK_ELEMENTS`` as for a single
+    instance; the instance rows then split at the cache budget
+    ``_CACHE_ELEMENTS``.  Each row is summed over its own contiguous axis,
+    so neither split moves a bit.
     """
     x, y, batched = _check_batch(model, x, y)
     seqs = enumerate_sequences(model.n_labels, x.shape[-2])
@@ -292,12 +301,10 @@ def structured_sum_loss_exact(spec: LinearCoreSpec, model: ChainModel, x, y):
     count, m = scores.shape
     totals = np.zeros(count)
     phi0 = lc_value(spec, 0.0)
-    # Anchor blocks as for a single instance, then as many instances per
-    # block as fit the element budget.
     anchors = max(1, _CHUNK_ELEMENTS // m)
     for start in range(0, m, anchors):
         stop = min(start + anchors, m)
-        rows = max(1, _CHUNK_ELEMENTS // ((stop - start) * m))
+        rows = max(1, _CACHE_ELEMENTS // ((stop - start) * m))
         for first in range(0, count, rows):
             block = scores[first : first + rows]
             margins = block[:, start:stop, None] - block[:, None, :]

@@ -126,22 +126,21 @@ def _corruption_probability(diff: int, length: int, n_labels: int, rate: float) 
 
 def sample_corruption(y: np.ndarray, n_labels: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
-    flip = rng.random(y.size) < rate
+    flipped = np.nonzero(rng.random(y.size) < rate)[0]
     out = y.copy()
-    if np.any(flip):
+    if flipped.size:
         # Uniform over the other labels: shift draws past the kept label.
-        draws = rng.integers(0, n_labels - 1, size=int(np.sum(flip)))
-        kept = y[flip]
-        out[flip] = draws + (draws >= kept)
+        draws = rng.integers(0, n_labels - 1, size=flipped.size)
+        out[flipped] = draws + (draws >= y[flipped])
     return out
 
 
 def sample_neighbor(y_prime: np.ndarray, n_labels: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform single-position reassignment; never returns ``y_prime`` itself."""
-    out = np.asarray(y_prime, dtype=np.int64).copy()
+    out = np.array(y_prime, dtype=np.int64)
     pos = int(rng.integers(0, out.size))
     draw = int(rng.integers(0, n_labels - 1))
-    out[pos] = draw + (draw >= out[pos])
+    out[pos] = draw + (draw >= int(out[pos]))
     return out
 
 
@@ -466,24 +465,20 @@ def _apply_pair_update(
 ) -> None:
     """In-place ``w -= step * (feature(outer) - feature(inner))``.
 
-    Touches only positions where the sequences disagree, so the cost is
-    independent of the label-set size.
+    Touches only positions where the sequences disagree and the edges next
+    to them, each once and in increasing order, so the cost is independent
+    of the label-set size.
     """
-    diff = np.nonzero(y_outer != y_inner)[0]
-    for j in diff:
-        model_unary[y_outer[j]] -= step * x[j]
-        model_unary[y_inner[j]] += step * x[j]
-    length = y_outer.size
-    if length > 1 and diff.size:
-        edges = set()
-        for j in diff:
-            if j > 0:
-                edges.add(j - 1)
-            if j < length - 1:
-                edges.add(j)
-        for j in sorted(edges):
-            model_transition[y_outer[j], y_outer[j + 1]] -= step
-            model_transition[y_inner[j], y_inner[j + 1]] += step
+    outer, inner = y_outer.tolist(), y_inner.tolist()
+    differs = [a != b for a, b in zip(outer, inner)]
+    for j, changed in enumerate(differs):
+        if changed:
+            model_unary[outer[j]] -= step * x[j]
+            model_unary[inner[j]] += step * x[j]
+    for j in range(len(outer) - 1):
+        if differs[j] or differs[j + 1]:
+            model_transition[outer[j], outer[j + 1]] -= step
+            model_transition[inner[j], inner[j + 1]] += step
 
 
 def _training_steps(seed: int, n_train: int, batch_size: int, iterations: int):

@@ -197,6 +197,15 @@ class TestTrainSeqDriver:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["nondeterministic_columns"]["history.csv"] == ["seconds"]
 
+    def test_manifest_records_phase_timings(self, tmp_path):
+        """The steps are part of training, and data plus training part of the run."""
+        run_train_seq(TINY_TRAIN, seed=2, out_dir=tmp_path)
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        data, train, steps = (timings[f"seconds_{key}"] for key in ("data", "train", "steps"))
+        assert 0.0 < steps <= train
+        assert 0.0 < data
+        assert data + train <= timings["seconds_total"]
+
     def test_bad_objective_rejected(self):
         with pytest.raises(Exception):
             run_train_seq(dict(TINY_TRAIN, objective="adaboost"))

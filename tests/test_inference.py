@@ -254,9 +254,14 @@ def test_inference_kernels_scale_quadratically_in_labels():
 
     The time at Y=2 is the per-call overhead (validation, set-up and the
     O(length) loop); it is taken off every time before the fit, so a faster
-    Y^2 term cannot read as sub-quadratic scaling.  Each time is the fastest
-    of 28 calls, made in short runs that take turns across the sizes: a busy
-    machine only ever adds time, and a slow spell lands on every size.
+    Y^2 term cannot read as sub-quadratic scaling.  The calls run in 7
+    rounds that take turns across the sizes, and each round fits its own
+    slope to the fastest of its 4 calls per size.  The median of the 7
+    slopes is asserted: a stall that hits one size in one round moves one
+    slope, not the verdict, while every round still has to scale
+    quadratically for the median to land in the band.  A round whose Y=2
+    call stalled past a larger size has no log to fit; it counts as an
+    infinitely steep slope, the direction such a stall tilts the fit.
     """
     import time
 
@@ -268,8 +273,8 @@ def test_inference_kernels_scale_quadratically_in_labels():
         for n in (floor, *sizes):
             model = ChainModel(rng.normal(size=(n, dim)), rng.normal(size=(n, n)))
             cases.append((model, rng.normal(size=(length, dim)), rng.integers(0, n, size=length)))
-        times = np.full(len(cases), np.inf)
-        for _ in range(7):
+        times = np.full((7, len(cases)), np.inf)
+        for round_times in times:
             for k, (model, x, y) in enumerate(cases):
                 for _ in range(4):
                     tick = time.perf_counter()
@@ -277,11 +282,15 @@ def test_inference_kernels_scale_quadratically_in_labels():
                         loss_augmented_viterbi(model, x, y)
                     else:
                         forward_backward(model, x)
-                    times[k] = min(times[k], time.perf_counter() - tick)
-        overhead, quadratic = times[0], times[1:] - times[0]
-        slope = float(np.polyfit(np.log(sizes), np.log(quadratic), 1)[0])
+                    round_times[k] = min(round_times[k], time.perf_counter() - tick)
+        quadratic = times[:, 1:] - times[:, :1]
+        slopes = [
+            float(np.polyfit(np.log(sizes), np.log(row), 1)[0]) if (row > 0).all() else np.inf
+            for row in quadratic
+        ]
+        slope = float(np.median(slopes))
         assert 1.6 <= slope <= 2.4, (
-            f"{kernel}: slope {slope:.2f}, overhead {overhead}, times {times[1:]}"
+            f"{kernel}: median slope {slope:.2f} of {np.round(slopes, 2)}, times {times}"
         )
 
 

@@ -341,7 +341,7 @@ def test_float_derivative_fast_path_matches_array_path(spec):
     """Every float returns the same value or raises the same error as a 1-element array."""
     rng = np.random.default_rng(18)
     points = list(spec_grid(spec, n=201)) + list(rng.normal(scale=4.0, size=200))
-    points += [np.nextafter(spec.tau, np.inf), np.nextafter(-spec.tau, -np.inf), -800.0, 800.0]
+    points += [np.nextafter(spec.tau, np.inf), np.nextafter(-spec.tau, -np.inf), -800.0, 800.0, -0.0]
     for point in points:
         for value in (float(point), np.float64(point)):
             try:
@@ -351,7 +351,7 @@ def test_float_derivative_fast_path_matches_array_path(spec):
                     lc_derivative(spec, value)
                 continue
             got = lc_derivative(spec, value)
-            assert type(got) is float and got == want
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             lc_derivative(spec, bad)

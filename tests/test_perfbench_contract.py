@@ -4,8 +4,10 @@
 the functions named in ``perfbench/tracing.py``'s ``TRACED`` and tags each
 ``minimize_convex`` call with its problem count, and a workload calls
 ``sgd_step`` with six positional arguments and reads the result fields and
-config keys named below.  A rename or a signature change then fails here,
-in the test suite, instead of in a benchmark run.
+config keys named below.  Its ``trainers.pair_update_ratio`` counts the
+``lincore`` steps that call ``lc_derivative`` through ``lincore.trainers``.
+A rename or a signature change then fails here, in the test suite,
+instead of in a benchmark run.
 The harness file is loaded by path and only read.
 """
 
@@ -15,10 +17,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lincore.minimize
 import lincore.trainers
+from lincore import ChainModel, PairProposal, TrainConfig
 from lincore.consistency import RatePoint, TauSlope
 from lincore.experiments import (
     NOISE_DEFAULTS,
@@ -29,6 +33,7 @@ from lincore.experiments import (
     StabilityResult,
     TrainSeqResult,
 )
+from lincore.rng import DOMAIN_TRAIN_SAMPLE, stream_rng
 from lincore.trainers import HistoryRow, TrainResult
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -95,3 +100,34 @@ def test_config_keys_the_noise_family_reads():
     check picks its rows by the default ``robust_taus``."""
     assert isinstance(NOISE_DEFAULTS["n_train"], int)
     assert STABILITY_DEFAULTS["robust_taus"]
+
+
+def test_a_pair_step_calls_lc_derivative_once_exactly_when_it_updates(monkeypatch):
+    """``pair_update_ratio`` reads an ``lc_derivative`` span under a ``lincore``
+    ``sgd_step`` span as an update: a step that updates calls it once through
+    ``lincore.trainers``, and a step whose outer draw disagrees with ``y`` at
+    every position (``w1 == 0``) calls it zero times."""
+    calls = []
+    derivative = lincore.trainers.lc_derivative
+
+    def counting(spec, u):
+        calls.append(u)
+        return derivative(spec, u)
+
+    monkeypatch.setattr(lincore.trainers, "lc_derivative", counting)
+    config = TrainConfig(objective="lincore", corruption_rate=0.8)
+    proposal = PairProposal(config.corruption_rate, config.inner_proposal)
+    x = np.random.default_rng(0).normal(size=(2, 3))
+    y = np.array([0, 1])
+    seen = set()
+    for seed in range(40):
+        twin = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, 1)
+        skipped = bool(np.all(lincore.trainers.sample_corruption(y, 3, 0.8, twin) != y))
+        model = ChainModel.zeros(3, 3)
+        calls.clear()
+        rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, 1)
+        lincore.trainers.sgd_step(model, x, y, config, proposal, rng)
+        assert len(calls) == (0 if skipped else 1)
+        assert model.unary.any() == (not skipped)
+        seen.add(skipped)
+    assert seen == {False, True}

@@ -31,6 +31,7 @@ from lincore.structured import (
     _chain_scores,
     all_sequence_scores,
     enumerate_sequences,
+    similarity_weights,
     validate_loss_matrix,
 )
 
@@ -364,6 +365,28 @@ class TestBatchedStructuredRegrets:
             structured_conditional_regrets(EXP_SYM, np.full((2, 9), 1 / 9), np.zeros((2, 9)), big)
 
 
+def _memory_blocked_sum_loss(spec, model, x, y):
+    """The batched sum loss with as many instance rows per block as the
+    2**22-element memory budget holds: one block for every batch at m = 81."""
+    seqs = enumerate_sequences(model.n_labels, x.shape[-2])
+    scores = _chain_scores(model, x, seqs)
+    weights = similarity_weights(seqs, y)
+    count, m = scores.shape
+    totals = np.zeros(count)
+    phi0 = lc_value(spec, 0.0)
+    anchors = max(1, 2**22 // m)
+    for start in range(0, m, anchors):
+        stop = min(start + anchors, m)
+        rows = max(1, 2**22 // ((stop - start) * m))
+        for first in range(0, count, rows):
+            block = scores[first : first + rows]
+            margins = block[:, start:stop, None] - block[:, None, :]
+            inner = lc_value(spec, margins).sum(axis=2) - phi0
+            for i, row in enumerate(inner, first):
+                totals[i] += np.dot(weights[i, start:stop], row)
+    return totals
+
+
 class TestBatchedSumLoss:
     @pytest.mark.parametrize("spec", [EXP_SYM, LOG_ONE], ids=["exp-sym", "log-one"])
     def test_rows_match_single_calls_bitwise(self, spec):
@@ -392,6 +415,31 @@ class TestBatchedSumLoss:
             values = structured_sum_loss_exact(LOG_ONE, model, x, y)
             singles = [structured_sum_loss_exact(LOG_ONE, model, x[k], y[k]) for k in range(5)]
             assert values.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, n_labels, length, count",
+        [
+            (LOG_ONE, 3, 4, 1),
+            (LOG_ONE, 3, 4, 5),
+            (LOG_ONE, 3, 4, 64),
+            (EXP_SYM, 3, 4, 64),
+            (LOG_ONE, 2, 12, 2),
+        ],
+        ids=["m81-1", "m81-5", "m81-64", "m81-64-exp-sym", "m4096-2"],
+    )
+    def test_cache_blocks_match_memory_blocks_bitwise(self, spec, n_labels, length, count):
+        """Rows blocked at the cache budget give the bits of the rows blocked
+        at the memory budget alone, and of each row's own call.  At m = 4096
+        the memory budget also splits the anchors, into four blocks."""
+        rng = np.random.default_rng(34)
+        model = random_model(rng, n_labels, 3, scale=0.4)
+        x = rng.normal(size=(count, length, 3))
+        y = rng.integers(0, n_labels, size=(count, length))
+        values = structured_sum_loss_exact(spec, model, x, y)
+        assert values.tobytes() == _memory_blocked_sum_loss(spec, model, x, y).tobytes()
+        for k in range(count):
+            single = structured_sum_loss_exact(spec, model, x[k], y[k])
+            assert np.float64(single).tobytes() == values[k].tobytes()
 
     def test_batched_scores_match_single_rows_bitwise(self):
         rng = np.random.default_rng(33)

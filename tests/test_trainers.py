@@ -1,9 +1,12 @@
 """Stochastic estimators: unbiasedness, variance, and the SGD driver."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincore import (
     BaseLoss,
@@ -700,3 +703,92 @@ def test_batched_evaluation_matches_single_calls(objective):
     else:
         want = float(np.mean([structured_sum_loss_exact(config.spec, model, x, y) for x, y in instances]))
     assert trainers._mean_objective(objective, model, instances, config) == want
+
+
+# Reference copies of the pair-step pieces as they were written with
+# boolean masks, set building and numpy-scalar compares.  The lean step
+# must draw the same numbers in the same order and write the same bits.
+
+
+def _reference_sample_corruption(y, n_labels, rate, rng):
+    y = np.asarray(y, dtype=np.int64)
+    flip = rng.random(y.size) < rate
+    out = y.copy()
+    if np.any(flip):
+        draws = rng.integers(0, n_labels - 1, size=int(np.sum(flip)))
+        kept = y[flip]
+        out[flip] = draws + (draws >= kept)
+    return out
+
+
+def _reference_sample_neighbor(y_prime, n_labels, rng):
+    out = np.asarray(y_prime, dtype=np.int64).copy()
+    pos = int(rng.integers(0, out.size))
+    draw = int(rng.integers(0, n_labels - 1))
+    out[pos] = draw + (draw >= out[pos])
+    return out
+
+
+def _reference_apply_pair_update(model_unary, model_transition, x, y_outer, y_inner, step):
+    diff = np.nonzero(y_outer != y_inner)[0]
+    for j in diff:
+        model_unary[y_outer[j]] -= step * x[j]
+        model_unary[y_inner[j]] += step * x[j]
+    length = y_outer.size
+    if length > 1 and diff.size:
+        edges = set()
+        for j in diff:
+            if j > 0:
+                edges.add(j - 1)
+            if j < length - 1:
+                edges.add(j)
+        for j in sorted(edges):
+            model_transition[y_outer[j], y_outer[j + 1]] -= step
+            model_transition[y_inner[j], y_inner[j + 1]] += step
+
+
+def _stream_state(rng):
+    """The generator's full state, its counter and key arrays included, as text."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def _assert_same_update(x, plus, minus, step, unary, transition):
+    got = (unary.copy(), transition.copy())
+    want = (unary.copy(), transition.copy())
+    trainers._apply_pair_update(*got, x, plus, minus, step)
+    _reference_apply_pair_update(*want, x, plus, minus, step)
+    assert np.array_equal(got[0], want[0]) and got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]) and got[1].tobytes() == want[1].tobytes()
+
+
+@given(
+    n_labels=st.sampled_from([3, 100, 400]),
+    length=st.integers(1, 20),
+    rate=st.sampled_from([1e-9, 0.02, 0.3, 0.98, 1.0 - 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_pair_step_pieces_match_the_reference_bitwise(n_labels, length, rate, seed):
+    """Same draws, same stream state afterwards and the same weight bits."""
+    data_rng = np.random.default_rng(seed)
+    y = data_rng.integers(0, n_labels, size=length)
+    x = data_rng.normal(size=(length, 3))
+    unary = data_rng.normal(size=(n_labels, 3))
+    transition = data_rng.normal(size=(n_labels, n_labels))
+    step = float(data_rng.normal())
+    rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, length)
+    reference_rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, length)
+
+    outer = sample_corruption(y, n_labels, rate, rng)
+    assert outer.dtype == np.int64
+    assert np.array_equal(outer, _reference_sample_corruption(y, n_labels, rate, reference_rng))
+    assert _stream_state(rng) == _stream_state(reference_rng)
+    inner = sample_neighbor(outer, n_labels, rng)
+    assert inner.dtype == np.int64
+    assert np.array_equal(inner, _reference_sample_neighbor(outer, n_labels, reference_rng))
+    assert _stream_state(rng) == _stream_state(reference_rng)
+
+    # The neighbor pair differs at one position; the corruption pair at
+    # many, so transition cells can repeat; an equal pair changes nothing.
+    for plus, minus in ((outer, inner), (y, outer), (outer, y), (outer, outer)):
+        _assert_same_update(x, plus, minus, step, unary, transition)
