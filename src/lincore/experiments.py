@@ -306,7 +306,9 @@ def run_scaling(
     if not (cfg["label_sizes"] and cfg["methods"]):
         raise ConfigError("label_sizes and methods must not be empty")
     rows: list[ScalingRow] = []
+    phases = dict.fromkeys(("seconds_data", "seconds_train", "seconds_steps"), 0.0)
     for n_labels in cfg["label_sizes"]:
+        tick = time.perf_counter()
         data = generate_hmm_split(
             HmmSpec(
                 length=cfg["length"],
@@ -317,6 +319,7 @@ def run_scaling(
             ),
             n_test=0,
         )
+        phases["seconds_data"] += time.perf_counter() - tick
         for method in cfg["methods"]:
             train_cfg = TrainConfig(
                 eta=cfg["eta"],
@@ -325,7 +328,11 @@ def run_scaling(
                 seed=seed,
                 corruption_rate=cfg["corruption_rate"],
             )
-            timed = sgd_train(data, train_cfg).step_seconds[cfg["warmup_batches"] :]
+            tick = time.perf_counter()
+            step_seconds = sgd_train(data, train_cfg).step_seconds
+            phases["seconds_train"] += time.perf_counter() - tick
+            phases["seconds_steps"] += float(step_seconds.sum())
+            timed = step_seconds[cfg["warmup_batches"] :]
             median = float(np.median(timed))
             cv = float(np.std(timed) / np.mean(timed))
             rows.append(
@@ -341,7 +348,7 @@ def run_scaling(
         (r.method, r.n_labels, repr(r.seconds_per_batch), repr(r.cv), int(r.cv_flag)) for r in rows
     ]
     files = {"scaling.csv": (["method", "Y", "seconds_per_batch", "cv", "cv_flag"], scaling_rows)}
-    _write_artifacts(out_dir, "scaling", cfg, seed, t0, files)
+    _write_artifacts(out_dir, "scaling", cfg, seed, t0, files, phases)
     return ScalingResult(rows=rows)
 
 

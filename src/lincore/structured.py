@@ -158,60 +158,87 @@ def joint_feature(n_labels: int, x, y) -> np.ndarray:
     return np.concatenate([unary.ravel(), transition.ravel()])
 
 
-# Up to this many labels per label slot the sequences fill, a feature
-# delta keeps every label: the dense block is then at most 9 times the
-# compact one, and filling it costs less than sorting out the touched
-# labels (measured at L = 20, d = 20 for Y = 50 to 400).
-_COMPACT_LABEL_RATIO = 3
-
-
-def _touched(n_labels: int, *sequences: np.ndarray) -> tuple:
-    """Labels the sequences use, their count, and each sequence's
-    positions among them.
-
-    Short sequences over a small label set keep every label
-    (``slice(None)``), which skips the sort.
-    """
-    if _COMPACT_LABEL_RATIO * sum(seq.size for seq in sequences) >= n_labels:
-        return slice(None), n_labels, list(sequences)
-    labels = np.unique(np.concatenate([seq.ravel() for seq in sequences]))
-    return labels, labels.size, [np.searchsorted(labels, seq) for seq in sequences]
+# A feature delta keeps the whole (Y, Y) transition block while the block
+# has at most this many cells per edge of its sequences, and only the
+# touched cells beyond that: up to there, filling and applying the block
+# costs less than sorting out the cells (at L = 20, d = 20 both the hinge
+# and the K-negative delta cross over between 130 and 240 cells per edge).
+_CELLS_PER_EDGE = 128
 
 
 @dataclass(frozen=True)
 class FeatureDelta:
-    """A flat-layout feature vector stored on the labels it touches.
+    """A flat-layout feature vector: the whole ``(Y, d)`` unary block, and
+    the transition block whole or on the cells its sequences touch.
 
-    ``unary[i]`` is the unary row of label ``labels[i]`` and
-    ``transition[i, k]`` the transition cell ``(labels[i], labels[k])``;
-    every other entry is zero.  Each stored entry holds exactly the value
-    the dense ``np.add.at`` accumulation would hold, so densifying or
-    applying it is bitwise identical to working with the dense vector, at
-    a cost set by the touched labels instead of ``n_labels``.
+    ``transition[i]`` is the value of the row-major transition cell
+    ``cells[i]`` (``slice(None)``: every cell); every other cell is zero.
+    Each stored entry holds exactly the value the dense ``np.add.at``
+    accumulation would hold, so densifying or applying it is bitwise
+    identical to working with the dense vector.
     """
 
     n_labels: int
-    labels: np.ndarray | slice
     unary: np.ndarray
+    cells: np.ndarray | slice
     transition: np.ndarray
 
-    def _block(self) -> tuple:
-        if isinstance(self.labels, slice):
-            return self.labels, self.labels
-        return np.ix_(self.labels, self.labels)
-
     def dense(self) -> np.ndarray:
-        n = self.n_labels
-        unary = np.zeros((n, self.unary.shape[1]))
-        unary[self.labels] = self.unary
-        transition = np.zeros((n, n))
-        transition[self._block()] = self.transition
-        return np.concatenate([unary.ravel(), transition.ravel()])
+        transition = np.zeros(self.n_labels * self.n_labels)
+        transition[self.cells] = self.transition
+        return np.concatenate([self.unary.ravel(), transition])
 
     def subtract_from(self, model: "ChainModel", step: float) -> None:
-        """In-place ``weights -= step * delta`` on the touched entries only."""
-        model.unary[self.labels] -= step * self.unary
-        model.transition[self._block()] -= step * self.transition
+        """In-place ``weights -= step * delta`` for ``step >= 0``.
+
+        A cell left out holds 0.0, and ``w - step * 0.0 == w``, so skipping
+        it moves no bit.
+        """
+        unary, transition = model.unary, model.transition
+        unary -= step * self.unary
+        if isinstance(self.cells, slice):
+            transition -= step * self.transition.reshape(transition.shape)
+        else:
+            transition[np.divmod(self.cells, self.n_labels)] -= step * self.transition
+
+
+def _feature_delta(
+    n_labels: int, x: np.ndarray, sequences: np.ndarray, coeffs: np.ndarray, split: int | None = None
+) -> FeatureDelta:
+    """``sum_k coeffs[k] * joint_feature(n_labels, x, sequences[k])`` as a
+    :class:`FeatureDelta`; with ``split``, the rows from ``split`` on are
+    summed apart and their sum subtracted.
+
+    Each unary entry ``label * d + column`` and each transition cell adds
+    its terms from 0.0 in row-major ``(k, position)`` order, as
+    ``np.add.at`` over the stacked sequences does, because ``np.bincount``
+    adds its weights left to right.  The transitions keep the whole
+    ``(Y, Y)`` block up to ``_CELLS_PER_EDGE`` cells per edge and the
+    touched cells beyond it.
+    """
+    length, dim = x.shape
+    parts = 1 if split is None else 2
+    edges = sequences[:, :-1] * n_labels + sequences[:, 1:]
+    if _CELLS_PER_EDGE * edges.size >= n_labels * n_labels:
+        cells, size = slice(None), n_labels * n_labels
+    else:
+        cells = np.sort(edges, axis=None)
+        cells = np.concatenate((cells[:1], cells[1:][cells[1:] != cells[:-1]]))
+        edges, size = np.searchsorted(cells, edges), cells.size
+    rows = sequences * dim
+    if split is not None:
+        rows[split:] += n_labels * dim
+        edges[split:] += size
+    unary = np.bincount(
+        (rows[:, :, None] + np.arange(dim)).ravel(),
+        (coeffs[:, None, None] * x).ravel(),
+        minlength=parts * n_labels * dim,
+    )
+    transition = np.bincount(edges.ravel(), np.repeat(coeffs, length - 1), minlength=parts * size)
+    if split is not None:
+        unary = unary[: n_labels * dim] - unary[n_labels * dim :]
+        transition = transition[:size] - transition[size:]
+    return FeatureDelta(n_labels, unary.reshape(n_labels, dim), cells, transition)
 
 
 def feature_difference(n_labels: int, x, plus, minus) -> FeatureDelta:
@@ -221,21 +248,8 @@ def feature_difference(n_labels: int, x, plus, minus) -> FeatureDelta:
     before the subtraction, so the dense form matches the difference of
     the two dense features bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    labels, size, (plus, minus) = _touched(
-        n_labels, np.asarray(plus, dtype=np.int64), np.asarray(minus, dtype=np.int64)
-    )
-    unary_plus = np.zeros((size, x.shape[1]))
-    unary_minus = np.zeros_like(unary_plus)
-    np.add.at(unary_plus, plus, x)
-    np.add.at(unary_minus, minus, x)
-    transition_plus = np.zeros((size, size))
-    transition_minus = np.zeros_like(transition_plus)
-    np.add.at(transition_plus, (plus[:-1], plus[1:]), 1.0)
-    np.add.at(transition_minus, (minus[:-1], minus[1:]), 1.0)
-    return FeatureDelta(
-        n_labels, labels, unary_plus - unary_minus, transition_plus - transition_minus
-    )
+    sequences = np.array([plus, minus], dtype=np.int64)
+    return _feature_delta(n_labels, np.asarray(x, dtype=np.float64), sequences, np.ones(2), split=1)
 
 
 def enumerate_sequences(n_labels: int, length: int, limit: int = ENUMERATION_LIMIT) -> np.ndarray:

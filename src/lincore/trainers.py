@@ -58,7 +58,7 @@ from .structured import (
     FeatureDelta,
     _chain_scores,
     _check_instance,
-    _touched,
+    _feature_delta,
     all_sequence_scores,
     enumerate_sequences,
     feature_difference,
@@ -263,57 +263,31 @@ def lc_ksample_gradient_estimate(
     x, y_star = _check_instance(model, x, y_star)
     if n_negatives < 1:
         raise DomainError("need at least one negative sample")
-    return _ksample_delta(model, x, y_star, spec, n_negatives, rng).dense()
+    negatives = rng.integers(0, model.n_labels, size=(n_negatives, y_star.size))
+    return _ksample_delta(model, x, y_star, spec, negatives).dense()
 
 
 def _ksample_delta(
-    model: ChainModel,
-    x,
-    y_star,
-    spec: LinearCoreSpec,
-    n_negatives: int,
-    rng: np.random.Generator,
+    model: ChainModel, x: np.ndarray, y_star: np.ndarray, spec: LinearCoreSpec, competitors
 ) -> FeatureDelta:
-    negatives = rng.integers(0, model.n_labels, size=(n_negatives, y_star.size))
-    scores = _chain_scores(model, x, np.concatenate([y_star[None], negatives]))
-    coeffs = lc_derivative(spec, scores[0] - scores[1:]) / n_negatives
-    return _accumulate_ksample(model, x, y_star, negatives, coeffs)
+    """Mean over the ``(K, L)`` competitors ``y_k`` of ``c_k * (feature(y*) -
+    feature(y_k))``, with ``c_k = phi'(score(y*) - score(y_k))``.
 
-
-def _accumulate_ksample(
-    model: ChainModel,
-    x: np.ndarray,
-    y_star: np.ndarray,
-    negatives: np.ndarray,
-    coeffs: np.ndarray,
-) -> FeatureDelta:
-    """sum_k c_k * (feature(y*) - feature(y_k)) on the labels it touches."""
-    n = model.n_labels
-    length = y_star.size
-    total = float(np.sum(coeffs))
-    labels, size, (y_star, negatives) = _touched(n, y_star, negatives)
-    unary = np.zeros((size, model.dim))
-    np.add.at(unary, y_star, total * x)
-    weighted_x = np.repeat(coeffs, length)[:, None] * np.tile(x, (negatives.shape[0], 1))
-    np.add.at(unary, negatives.ravel(), -weighted_x)
-    transition = np.zeros((size, size))
-    if length > 1:
-        np.add.at(transition, (y_star[:-1], y_star[1:]), total)
-        np.add.at(
-            transition,
-            (negatives[:, :-1].ravel(), negatives[:, 1:].ravel()),
-            -np.repeat(coeffs, length - 1),
-        )
-    return FeatureDelta(n, labels, unary, transition)
+    ``y*`` carries ``sum_k c_k / K`` and each ``y_k`` carries ``-c_k / K``,
+    in one accumulation that adds ``y*``'s terms first.
+    """
+    sequences = np.concatenate([y_star[None], competitors])
+    scores = _chain_scores(model, x, sequences)
+    coeffs = lc_derivative(spec, scores[0] - scores[1:]) / len(competitors)
+    weights = np.concatenate([[float(np.sum(coeffs))], -coeffs])
+    return _feature_delta(model.n_labels, x, sequences, weights)
 
 
 def uniform_negative_gradient_exact(spec: LinearCoreSpec, model: ChainModel, x, y_star) -> np.ndarray:
     """Exact gradient of E_{y ~ Uniform}[phi(score(y*) - score(y))]."""
     x, y_star = _check_instance(model, x, y_star)
-    seqs = enumerate_sequences(model.n_labels, y_star.size)
-    scores = _chain_scores(model, x, np.concatenate([y_star[None], seqs]))
-    coeffs = lc_derivative(spec, scores[0] - scores[1:]) / len(seqs)
-    return _accumulate_ksample(model, x, y_star, seqs, coeffs).dense()
+    competitors = enumerate_sequences(model.n_labels, y_star.size)
+    return _ksample_delta(model, x, y_star, spec, competitors).dense()
 
 
 def empirical_gradient_variance(
@@ -494,7 +468,10 @@ def _training_steps(seed: int, n_train: int, batch_size: int, iterations: int):
     sample_keys = iteration_keys(seed, DOMAIN_TRAIN_SAMPLE, 1, iterations + 1, batch_size)
     rng = keyed_rng()
     for t, (pick_key,), slot_keys in zip(range(1, iterations + 1), pick_keys, sample_keys):
-        picks = rekey(rng, pick_key).integers(0, n_train, size=batch_size)
+        draw = rekey(rng, pick_key).integers
+        # A lone pick takes the scalar draw: the value of ``size=1`` at a
+        # quarter of the cost, as the stream is rekeyed before it draws again.
+        picks = draw(0, n_train, size=batch_size) if batch_size > 1 else (draw(0, n_train),)
         for slot, (idx, key) in enumerate(zip(picks, slot_keys)):
             yield t, slot, int(idx), rekey(rng, key)
 
@@ -578,11 +555,14 @@ def sgd_step(
     This is the unit the scaling benchmark times.  The pair-sampling update
     touches O(length * dim) numbers regardless of the label-set size; the
     exact-inference updates pay their O(length * labels^2) dynamic program.
-    The hinge and K-negative updates write only the labels and transition
-    cells their sequences use, with the same values a dense update would;
-    the CRF update scales its two gradient blocks in place and subtracts
-    them from the weights, with the bits of the dense flat update.
-    Callers validate first.
+    The hinge and K-negative updates build one :class:`FeatureDelta`:
+    ordered bincounts of the ``(Y, d)`` unary block and of the transitions,
+    kept whole for a small ``Y`` and on the touched cells otherwise, so an
+    update at large ``Y`` costs about O(K * length * dim) plus one
+    ``(Y, d)`` pass, with the bits of the dense ``np.add.at`` update.  The
+    CRF update scales its two gradient blocks in place and subtracts them
+    from the weights, with the bits of the dense flat update.  ``step``
+    must be non-negative.  Callers validate first.
     """
     unary, transition = model.unary, model.transition
     n_labels = model.n_labels
@@ -593,7 +573,8 @@ def sgd_step(
             _apply_pair_update(unary, transition, x, outer, inner, step * coeff)
         return
     if config.objective == "lincore_ksample":
-        delta = _ksample_delta(model, x, y, config.spec, config.n_negatives, rng)
+        negatives = rng.integers(0, n_labels, size=(config.n_negatives, y.size))
+        delta = _ksample_delta(model, x, y, config.spec, negatives)
     elif config.objective == "ssvm":
         violation, competitor = hinge_violation(model, x, y)
         if violation <= 0.0:

@@ -385,6 +385,15 @@ class TestScalingDriver:
             run_scaling(dict(TINY_SCALING, **bad), out_dir=tmp_path)
         assert not (tmp_path / "scaling.csv").exists()
 
+    def test_manifest_records_phase_timings(self, tmp_path):
+        """The steps are part of training, and data plus training part of the run."""
+        run_scaling(TINY_SCALING, seed=0, out_dir=tmp_path)
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        data, train, steps = (timings[f"seconds_{key}"] for key in ("data", "train", "steps"))
+        assert 0.0 < steps <= train
+        assert 0.0 < data
+        assert data + train <= timings["seconds_total"]
+
     def test_non_timing_columns_deterministic(self, tmp_path):
         run_scaling(TINY_SCALING, seed=4, out_dir=tmp_path / "a")
         run_scaling(TINY_SCALING, seed=4, out_dir=tmp_path / "b")

@@ -5,7 +5,9 @@ the functions named in ``perfbench/tracing.py``'s ``TRACED`` and tags each
 ``minimize_convex`` call with its problem count, and a workload calls
 ``sgd_step`` with six positional arguments and reads the result fields and
 config keys named below.  Its ``trainers.pair_update_ratio`` counts the
-``lincore`` steps that call ``lc_derivative`` through ``lincore.trainers``.
+``lincore`` steps that call ``lc_derivative`` through ``lincore.trainers``,
+and its ``losses.lc_derivative.calls`` count one call per ``lincore_ksample``
+step.
 A rename or a signature change then fails here, in the test suite,
 instead of in a benchmark run.
 The harness file is loaded by path and only read.
@@ -131,3 +133,30 @@ def test_a_pair_step_calls_lc_derivative_once_exactly_when_it_updates(monkeypatc
         assert model.unary.any() == (not skipped)
         seen.add(skipped)
     assert seen == {False, True}
+
+
+def test_a_ksample_step_scores_and_differentiates_once(monkeypatch):
+    """A ``lincore_ksample`` step makes one ``_chain_scores`` call (``y*``
+    and its negatives together) and one ``lc_derivative`` call (all K
+    margins at once) through ``lincore.trainers``."""
+    calls = {"lc_derivative": 0, "_chain_scores": 0}
+    for name in calls:
+        original = getattr(lincore.trainers, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lincore.trainers, name, counting)
+    config = TrainConfig(objective="lincore_ksample")
+    proposal = PairProposal(config.corruption_rate, config.inner_proposal)
+    rng = np.random.default_rng(0)
+    for n_labels, length in [(3, 4), (100, 20), (400, 20)]:
+        model = ChainModel(rng.normal(size=(n_labels, 3)), rng.normal(size=(n_labels, n_labels)))
+        x = rng.normal(size=(length, 3))
+        y = rng.integers(0, n_labels, size=length)
+        for seed in range(3):
+            calls.update(dict.fromkeys(calls, 0))
+            rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, 1)
+            lincore.trainers.sgd_step(model, x, y, config, proposal, rng)
+            assert calls == {"lc_derivative": 1, "_chain_scores": 1}

@@ -106,3 +106,20 @@ def test_sgd_train_draws_the_stream_rng_streams(objective, batch_size, monkeypat
     want = _train_with_stream_rng(data, config)
     assert got.unary.tobytes() == want.unary.tobytes()
     assert got.transition.tobytes() == want.transition.tobytes()
+
+
+def test_a_scalar_pick_draws_the_value_of_a_one_element_draw():
+    """``_training_steps`` draws a lone instance pick as a scalar, a quarter
+    of the cost of ``size=1``.  The generator is rekeyed before it draws
+    again, so only the drawn value has to agree, here over 400 keys and
+    training-set sizes from 1 to 2**33 (both sides of the 32-bit bound)."""
+    keys = stream_keys(17, DOMAIN_TRAIN_INSTANCE, np.arange(1, 401))
+    edges = [1, 2, 3, 5, 7, 200, 2**16 + 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33]
+    spread = np.unique(np.exp2(np.random.default_rng(3).uniform(0, 33, size=27)).astype(np.int64))
+    sizes = sorted(set(edges) | {int(n) for n in spread if n >= 1})
+    generator = keyed_rng()
+    for key in keys:
+        for n_train in sizes:
+            scalar = rekey(generator, key).integers(0, n_train)
+            sized = rekey(generator, key).integers(0, n_train, size=1)
+            assert scalar == sized[0], (key, n_train)

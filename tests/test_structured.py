@@ -27,10 +27,13 @@ from lincore import (
     structured_sum_loss_gradient_exact,
     weights_to_model,
 )
+from lincore import structured
 from lincore.structured import (
     _chain_scores,
+    _feature_delta,
     all_sequence_scores,
     enumerate_sequences,
+    feature_difference,
     similarity_weights,
     validate_loss_matrix,
 )
@@ -537,3 +540,89 @@ def test_one_label_rule_at_every_entry_point(case, seed):
     assert all(outcome is not None for outcome in outcomes)
     singles = np.array(outcomes[1::4])
     assert outcomes[0].tobytes() == singles.tobytes()
+
+
+def _ordered_sum(n_labels, x, sequences, coeffs):
+    """Dense ``sum_k coeffs[k] * joint_feature(sequences[k])``, each entry
+    added from 0.0 one term at a time in ``(k, position)`` order."""
+    unary = np.zeros((n_labels, x.shape[1]))
+    transition = np.zeros((n_labels, n_labels))
+    for seq, coeff in zip(sequences.tolist(), coeffs.tolist()):
+        for j, label in enumerate(seq):
+            unary[label] += coeff * x[j]
+        for a, b in zip(seq[:-1], seq[1:]):
+            transition[a, b] += coeff
+    return np.concatenate([unary.ravel(), transition.ravel()])
+
+
+# Signed zeros beside magnitudes from 1e-5 to 1e4 of either sign.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(1e-5, 1e4).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@st.composite
+def delta_cases(draw):
+    """Sequences over Y in {2, 3, 100, 400}, L from 1, with coefficients,
+    inputs and weights holding signed zeros.  Most cases draw their labels
+    from a pool of at most three, so cells and unary rows repeat."""
+    n_labels = draw(st.sampled_from([2, 3, 100, 400]))
+    count, length, dim = draw(st.integers(1, 6)), draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = min(draw(st.sampled_from([n_labels, 1, 2, 3])), n_labels)
+    sequences = rng.choice(rng.choice(n_labels, size=alphabet, replace=False), size=(count, length))
+    entries = lambda n: np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))  # noqa: E731
+    split = draw(st.none() if count == 1 else st.one_of(st.none(), st.integers(1, count - 1)))
+    model = ChainModel(
+        np.resize(entries(7), (n_labels, dim)), np.resize(entries(11), (n_labels, n_labels))
+    )
+    return (
+        sequences,
+        entries(count),
+        entries(length * dim).reshape(length, dim),
+        split,
+        model,
+        draw(st.sampled_from([0.0, 1e-3, 0.37, 5.0])),
+    )
+
+
+@pytest.mark.parametrize("cells_per_edge", [0, None, 2**40], ids=["touched", "rule", "whole"])
+@settings(max_examples=75, deadline=None)
+@given(case=delta_cases())
+def test_feature_delta_matches_ordered_dense_sums_bitwise(cells_per_edge, case):
+    """The sparse-update kernel against dense sums of ``joint_feature``
+    terms, bit for bit (signed zeros included), on both transition layouts:
+    the densified delta, and ``weights - step * delta`` after
+    ``subtract_from``, which skips the cells the sequences leave at 0.0."""
+    sequences, coeffs, x, split, model, step = case
+    n_labels = model.n_labels
+    ratio = structured._CELLS_PER_EDGE if cells_per_edge is None else cells_per_edge
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structured, "_CELLS_PER_EDGE", ratio)
+        delta = _feature_delta(n_labels, x, sequences, coeffs, split)
+    edges = sequences.shape[0] * (sequences.shape[1] - 1)
+    assert isinstance(delta.cells, slice) == (ratio * edges >= n_labels**2)
+    if split is None:
+        want = _ordered_sum(n_labels, x, sequences, coeffs)
+    else:
+        want = _ordered_sum(n_labels, x, sequences[:split], coeffs[:split]) - _ordered_sum(
+            n_labels, x, sequences[split:], coeffs[split:]
+        )
+    assert delta.dense().tobytes() == want.tobytes()
+    expected = model_weights(model) - step * want
+    delta.subtract_from(model, step)
+    assert model_weights(model).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=75, deadline=None)
+@given(case=delta_cases())
+def test_feature_difference_is_the_difference_of_joint_features(case):
+    """Unit coefficients sum each sequence in ``joint_feature``'s own order."""
+    sequences, _, x, _, model, _ = case
+    plus, minus = sequences[0], sequences[-1]
+    n_labels = model.n_labels
+    single = _ordered_sum(n_labels, x, plus[None], np.ones(1))
+    assert single.tobytes() == joint_feature(n_labels, x, plus).tobytes()
+    want = joint_feature(n_labels, x, plus) - joint_feature(n_labels, x, minus)
+    assert feature_difference(n_labels, x, plus, minus).dense().tobytes() == want.tobytes()

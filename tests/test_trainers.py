@@ -508,14 +508,16 @@ def _assert_steps_match_dense_reference(sparse, instances, config, steps):
 
 
 @pytest.mark.parametrize("objective", ["ssvm", "lincore_ksample", "crf"])
-@pytest.mark.parametrize("n_labels", [3, 150])
+@pytest.mark.parametrize("n_labels", [3, 150, 400])
 def test_sparse_updates_match_dense_reference_bitwise(objective, n_labels):
-    """Writing only touched labels leaves weights identical to a dense update.
+    """Writing only touched transition cells leaves weights identical to a
+    dense update.
 
-    At 150 labels the length-6 sequences touch few enough labels that the
-    update runs on the compact label block; at 3 it keeps every label.  The
-    CRF step subtracts its gradient blocks in place, with each repeated
-    transition cell's count subtracted once, as the dense difference does.
+    At 150 and 400 labels the length-6 sequences have few enough edges that
+    the update keeps only their transition cells; at 3 it keeps the whole
+    block.  The CRF step subtracts its gradient blocks in place, with each
+    repeated transition cell's count subtracted once, as the dense
+    difference does.
     """
     data = tiny_data(seed=3, n_train=20, length=6, n_labels=n_labels, dim=4)
     sparse = ChainModel.zeros(n_labels, 4)
