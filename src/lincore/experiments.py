@@ -155,6 +155,23 @@ def _check_count(cfg: dict, key: str, lo: int, hi=np.inf) -> None:
         raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {cfg[key]!r}")
 
 
+def _delta_grid(cfg: dict, prefix: str = "") -> np.ndarray:
+    """The ``n_deltas`` log-spaced biases from ``<prefix>delta_min`` to ``<prefix>delta_max``.
+
+    Both bounds must be finite with ``0 < min < max < 1/2``: a coin's bias
+    lies in ``(0, 1/2)``, and a bound at or below 0 would reach
+    ``np.log10`` as NaN or ``-inf``.  A slope fit needs at least 5 biases.
+    """
+    _check_count(cfg, "n_deltas", 5)
+    lo, hi = cfg[f"{prefix}delta_min"], cfg[f"{prefix}delta_max"]
+    if not 0.0 < lo < hi < 0.5:
+        raise ConfigError(
+            f"{prefix}delta_min and {prefix}delta_max must satisfy 0 < min < max < 1/2, "
+            f"got {lo!r} and {hi!r}"
+        )
+    return np.logspace(np.log10(lo), np.log10(hi), cfg["n_deltas"])
+
+
 def _check_entries(cfg: dict, key: str, ok, what: str) -> None:
     """Reject a ``key`` setting that is not a list whose every entry passes ``ok``."""
     values = cfg[key]
@@ -180,16 +197,25 @@ class RatesResult:
 
 
 def run_rates(config: dict | None = None, seed: int = 0, out_dir: str | None = None) -> RatesResult:
-    """Biased-coin rate curves for the two surrogates and the two baselines."""
+    """Biased-coin rate curves for the two surrogates and the two baselines.
+
+    The manifest records ``seconds_curves`` (the ``biased_coin_curve``
+    calls) and ``seconds_fits`` (the log-log slope fits) beside the total.
+    """
     cfg = _merge_config(RATES_DEFAULTS, config)
     t0 = time.perf_counter()
-    deltas = np.logspace(np.log10(cfg["delta_min"]), np.log10(cfg["delta_max"]), cfg["n_deltas"])
+    deltas = _delta_grid(cfg)
     points: list[RatePoint] = []
     slopes: dict[str, float] = {}
+    phases = dict.fromkeys(("seconds_curves", "seconds_fits"), 0.0)
     for loss in rate_losses():
+        tick = time.perf_counter()
         curve = biased_coin_curve(loss, deltas)
+        tock = time.perf_counter()
         points.extend(curve)
         slopes[loss.name] = fit_loglog_slope(curve)
+        phases["seconds_curves"] += tock - tick
+        phases["seconds_fits"] += time.perf_counter() - tock
     rates_rows = [
         (p.loss_name, repr(p.delta), repr(p.excess_surrogate), repr(p.excess_target))
         for p in points
@@ -198,7 +224,7 @@ def run_rates(config: dict | None = None, seed: int = 0, out_dir: str | None = N
         "rates.csv": (["loss", "delta", "excess_surrogate", "excess_target"], rates_rows),
         "slopes.json": slopes,
     }
-    _write_artifacts(out_dir, "rates", cfg, seed, t0, files)
+    _write_artifacts(out_dir, "rates", cfg, seed, t0, files, phases)
     return RatesResult(points=points, slopes=slopes)
 
 
@@ -229,7 +255,11 @@ class StabilityResult:
 def run_stability(
     config: dict | None = None, seed: int = 0, out_dir: str | None = None
 ) -> StabilityResult:
-    """Rate slopes across core half-widths, including the vanishing-core limit."""
+    """Rate slopes across core half-widths, including the vanishing-core limit.
+
+    The manifest records ``seconds_robust`` and ``seconds_vanishing``, the
+    two ``tau_sweep`` calls, beside the total.
+    """
     cfg = _merge_config(STABILITY_DEFAULTS, config)
     t0 = time.perf_counter()
     for key in ("robust_taus", "vanishing_taus"):
@@ -237,20 +267,18 @@ def run_stability(
     if not (cfg["robust_taus"] or cfg["vanishing_taus"]):
         raise ConfigError("robust_taus and vanishing_taus must not both be empty")
     base = _base_from_name(cfg["base"])
-    robust_grid = np.logspace(
-        np.log10(cfg["robust_delta_min"]), np.log10(cfg["robust_delta_max"]), cfg["n_deltas"]
-    )
-    vanishing_grid = np.logspace(
-        np.log10(cfg["vanishing_delta_min"]), np.log10(cfg["vanishing_delta_max"]), cfg["n_deltas"]
-    )
-    rows: list[TauSlope] = []
-    rows.extend(tau_sweep(base, cfg["robust_taus"], robust_grid))
+    robust_grid = _delta_grid(cfg, "robust_")
+    vanishing_grid = _delta_grid(cfg, "vanishing_")
+    tick = time.perf_counter()
+    rows: list[TauSlope] = tau_sweep(base, cfg["robust_taus"], robust_grid)
+    tock = time.perf_counter()
     seen = {row.tau for row in rows}
     extra = [tau for tau in cfg["vanishing_taus"] if float(tau) not in seen]
     rows.extend(tau_sweep(base, extra, vanishing_grid))
+    phases = {"seconds_robust": tock - tick, "seconds_vanishing": time.perf_counter() - tock}
     stability_rows = [(repr(row.tau), repr(row.slope)) for row in rows]
     files = {"stability.csv": (["tau", "slope"], stability_rows)}
-    _write_artifacts(out_dir, "stability", cfg, seed, t0, files)
+    _write_artifacts(out_dir, "stability", cfg, seed, t0, files, phases)
     return StabilityResult(rows=rows)
 
 
@@ -510,26 +538,27 @@ def _check_noise_config(cfg: dict) -> None:
             raise ConfigError(message)
 
 
-def _train_linear_stacked(x, y, cfg: dict, seed: int, spec: LinearCoreSpec) -> np.ndarray:
-    """Minibatch SGD of every loss of the study on shared batches; ``(F, C, d)`` weights.
+def _train_linear_stacked(x, labels, cfg: dict, seed: int, spec: LinearCoreSpec) -> np.ndarray:
+    """Minibatch SGD of every loss and noise rate on shared batches; ``(R, F, C, d)`` weights.
 
-    Row 0 is cross-entropy (GCE at ``q = 0``), then GCE at each ``q_grid``
-    entry, then the linear-core sum loss.  The gradient kernels are the
-    unchecked ones of :mod:`lincore.multiclass`; the generator's labels
-    need no re-validation.
+    ``labels`` has one row per noise rate.  Row ``f = 0`` is cross-entropy, then GCE at each
+    ``q_grid`` entry, then the linear-core sum loss; each model keeps the bits of its own fit.
+    The gradient kernels are the unchecked ones of :mod:`lincore.multiclass`; the generator's
+    labels need no re-validation.
     """
-    qs = [0.0, *cfg["q_grid"]]
-    weights = np.zeros((len(qs) + 1, cfg["n_classes"], x.shape[1]))
+    qs = (0.0, *cfg["q_grid"])
+    weights = np.zeros((labels.shape[0], len(qs) + 1, cfg["n_classes"], x.shape[1]))
     n, batch_size = x.shape[0], cfg["batch_size"]
     for epoch in range(cfg["epochs"]):
         order = stream_rng(seed, DOMAIN_NOISE_TRAIN, epoch).permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             batch = order[start : start + batch_size]
-            xb, yb = x[batch], y[batch]
-            scores = np.matmul(xb, weights.transpose(0, 2, 1))
-            softmax_rows = _softmax_gradients(scores[:-1], yb, qs)
-            grads = np.concatenate([softmax_rows, _sum_loss_gradient(scores[-1], yb, spec)[None]])
-            update = np.matmul(grads.transpose(0, 2, 1), xb)
+            xb, yb = x[batch], labels[:, batch]
+            scores = np.matmul(xb, weights.transpose(0, 1, 3, 2))
+            softmax_rows = _softmax_gradients(scores[:, :-1], yb, qs)
+            lc_rows = _sum_loss_gradient(scores[:, -1], yb, spec)[:, None]
+            grads = np.concatenate([softmax_rows, lc_rows], axis=1)
+            update = np.matmul(grads.transpose(0, 1, 3, 2), xb)
             weights -= cfg["eta"] * (update / batch_size + cfg["weight_decay"] * weights)
     return weights
 
@@ -542,8 +571,8 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
     """Label-noise robustness study on the synthetic boundary-noise task.
 
     Trains cross-entropy, the generalized-cross-entropy grid, and the
-    one-sided linear-core sum loss in one stacked fit per noise rate, so
-    every loss sees the same batches; reports clean-test accuracy, and
+    one-sided linear-core sum loss at every noise rate in one stacked fit,
+    so every model sees the same batches; reports clean-test accuracy, and
     collects per-group gradient magnitudes at the final model of the
     histogram noise rate (per-pair surrogate slopes for the linear-core
     loss, true-label softmax gap ``1 - p_y`` for cross-entropy).  The
@@ -556,10 +585,9 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
     accuracies: list[NoiseAccuracy] = []
     gradient_groups: dict[str, GradientGroups] = {}
     realized: dict[float, float] = {}
-    phases = dict.fromkeys(("seconds_data", "seconds_train", "seconds_eval"), 0.0)
-    for rate in cfg["noise_rates"]:
-        tick = time.perf_counter()
-        dataset = generate_idn_dataset(
+    tick = time.perf_counter()
+    datasets = [
+        generate_idn_dataset(
             IdnSpec(
                 n_train=cfg["n_train"],
                 n_test=cfg["n_test"],
@@ -570,15 +598,17 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
                 center_scale=cfg["center_scale"],
             )
         )
-        x_train = np.hstack([dataset.x_train, np.ones((dataset.x_train.shape[0], 1))])
-        x_test = np.hstack([dataset.x_test, np.ones((dataset.x_test.shape[0], 1))])
+        for rate in cfg["noise_rates"]
+    ]
+    # Only the labels depend on the rate (see ``generate_idn_dataset``).
+    x_train = np.hstack([datasets[0].x_train, np.ones((cfg["n_train"], 1))])
+    x_test = np.hstack([datasets[0].x_test, np.ones((cfg["n_test"], 1))])
+    rate_labels = np.stack([dataset.y_train for dataset in datasets])
+    tock = time.perf_counter()
+    stacked = _train_linear_stacked(x_train, rate_labels, cfg, seed, spec)
+    tack = time.perf_counter()
+    for rate, dataset, weights in zip(cfg["noise_rates"], datasets, stacked):
         realized[float(rate)] = float(np.mean(dataset.flipped))
-        tock = time.perf_counter()
-        phases["seconds_data"] += tock - tick
-
-        weights = _train_linear_stacked(x_train, dataset.y_train, cfg, seed, spec)
-        tick = time.perf_counter()
-        phases["seconds_train"] += tick - tock
         ce_weights, gce_weights, lc_weights = weights[0], weights[1:-1], weights[-1]
         accuracies.append(
             NoiseAccuracy("ce", None, float(rate), _accuracy(ce_weights, x_test, dataset.y_test))
@@ -607,7 +637,8 @@ def run_noise(config: dict | None = None, seed: int = 0, out_dir: str | None = N
                 gradient_groups[name] = GradientGroups(
                     name, clean=mag[~flipped].ravel(), noisy=mag[flipped].ravel()
                 )
-        phases["seconds_eval"] += time.perf_counter() - tick
+    seconds = (tock - tick, tack - tock, time.perf_counter() - tack)
+    phases = dict(zip(("seconds_data", "seconds_train", "seconds_eval"), seconds))
 
     noise_rows = [
         (a.loss, "" if a.q is None else repr(a.q), repr(a.noise_rate), repr(a.test_accuracy))

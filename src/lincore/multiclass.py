@@ -112,11 +112,19 @@ def _sum_loss(scores, labels, spec):
     return values.sum(axis=1) - values[rows, labels]
 
 
+@lru_cache(maxsize=16)
+def _row_starts(shape: tuple) -> np.ndarray:
+    """Read-only flat index of each row's first entry in a C-ordered array of ``shape``."""
+    starts = np.arange(0, int(np.prod(shape)), shape[-1]).reshape(shape[:-1])
+    starts.setflags(write=False)
+    return starts
+
+
 def _sum_loss_gradient(scores, labels, spec):
-    rows = np.arange(labels.size)
-    slopes = lc_derivative(spec, scores[rows, labels][:, None] - scores)
+    cells = _row_starts(scores.shape) + labels  # (..., B, C) scores, (..., B) labels
+    slopes = lc_derivative(spec, scores.reshape(-1)[cells][..., None] - scores)
     grad = -slopes
-    grad[rows, labels] = slopes.sum(axis=1) - slopes[rows, labels]
+    np.put(grad, cells, slopes.sum(axis=-1) - slopes.reshape(-1)[cells])
     return grad
 
 
@@ -156,19 +164,27 @@ def _gce_loss(scores, labels, q):
     return (1.0 - _softmax(scores)[np.arange(labels.size), labels] ** q) / q
 
 
-def _softmax_gradients(scores, labels, qs):
-    """``p_y**q * (p - onehot(y))`` of ``(F, B, C)`` scores, row ``f`` at ``qs[f]``.
+def _powers(p_y, qs):
+    """``p_y[..., f, :] ** qs[f]`` with each row's bits of a scalar ``** float(q)``: one ``pow``
+    with an exponent column, stride 0 along a row as a scalar's is, and ``sqrt`` where numpy
+    sends a scalar ``** 0.5`` (the two can differ in the last bit)."""
+    powers = np.power(p_y, np.array(qs, dtype=np.float64)[:, None])
+    for f in [f for f, q in enumerate(qs) if q == 0.5]:
+        powers[..., f, :] = np.sqrt(p_y[..., f, :])
+    return powers
 
-    ``q = 0`` is cross-entropy, bit for bit: ``p_y ** 0.0 == 1`` and
-    ``1.0 * g == g``.  Each ``q`` is raised as a Python float, one row at a
-    time: numpy sends a scalar ``** 0.5`` to ``sqrt``, while an array of
-    exponents goes through ``pow``, which can differ in the last bit.  The
-    stacked powers then scale every row in one multiply.
+
+def _softmax_gradients(scores, labels, qs):
+    """``p_y**q * (p - onehot(y))`` of ``(..., F, B, C)`` scores, row ``f`` at ``qs[f]``.
+
+    ``labels`` are ``(..., B)``, the same for every ``f``.  ``q = 0`` is
+    cross-entropy, bit for bit: ``p_y ** 0.0 == 1`` and ``1.0 * g == g``.
     """
     grads = _softmax(scores)
-    p_y = grads[:, np.arange(labels.size), labels]
+    labels = labels[..., None, :]
+    powers = _powers(grads.reshape(-1)[_row_starts(grads.shape) + labels], qs)
     grads -= _onehot_rows(scores.shape[-1])[labels]
-    grads *= np.array([p ** float(q) for p, q in zip(p_y, qs)])[..., None]
+    grads *= powers[..., None]
     return grads
 
 

@@ -118,6 +118,20 @@ def test_bad_stability_tau_exits_1_without_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [("rates", {"delta_min": -1.0}), ("stability", {"robust_delta_min": 0.0})],
+)
+def test_bad_delta_bounds_exit_1_without_traceback(tmp_path, command, overrides):
+    """These bounds used to reach ``np.log10`` with a RuntimeWarning before a later error."""
+    done = _run_bad_config(tmp_path, command, overrides)
+    assert done.returncode == 1
+    assert "must satisfy 0 < min < max < 1/2" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Warning" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_selftest_passes_on_a_correct_build(capsys):
     """The invariant battery exits zero and reports every check."""
     code = main(["selftest"])

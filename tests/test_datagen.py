@@ -123,6 +123,32 @@ class TestIdnData:
             IdnSpec(noise_rate=-0.1)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_train=st.integers(1, 60),
+    n_test=st.integers(0, 20),
+    dim=st.integers(1, 6),
+    n_classes=st.integers(2, 10),
+    center_scale=st.floats(0.0, 5.0),
+    rates=st.lists(st.floats(0.0, 0.5, exclude_max=True), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_only_the_labels_depend_on_the_noise_rate(
+    seed, n_train, n_test, dim, n_classes, center_scale, rates
+):
+    """The label-noise study fits all its rates on one feature matrix and relies on this."""
+    shape = dict(n_train=n_train, n_test=n_test, dim=dim, n_classes=n_classes)
+    reference = generate_idn_dataset(
+        IdnSpec(**shape, noise_rate=0.0, seed=seed, center_scale=center_scale)
+    )
+    for rate in rates:
+        data = generate_idn_dataset(
+            IdnSpec(**shape, noise_rate=rate, seed=seed, center_scale=center_scale)
+        )
+        for name in ("x_train", "x_test", "y_clean", "y_test", "boundary_distance"):
+            assert getattr(data, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
 def _choice_loop_hmm_data(spec):
     """The label draw written with one Generator.choice call per position."""
     rng = stream_rng(spec.seed, DOMAIN_HMM_DATA)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -135,6 +136,42 @@ class TestRatesDriver:
         assert (tmp_path / "a/rates.csv").read_bytes() == (tmp_path / "b/rates.csv").read_bytes()
         assert (tmp_path / "a/slopes.json").read_bytes() == (tmp_path / "b/slopes.json").read_bytes()
 
+    def test_manifest_records_phase_timings(self, tmp_path):
+        run_rates(TINY_RATES, seed=0, out_dir=tmp_path)
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        phases = [timings[key] for key in ("seconds_curves", "seconds_fits")]
+        assert min(phases) > 0.0
+        assert sum(phases) <= timings["seconds_total"]
+
+    @pytest.mark.parametrize("driver", [run_rates, run_stability], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n_deltas", [-1, 0, 4])
+    def test_too_few_deltas_rejected_before_the_grid(self, driver, n_deltas, tmp_path):
+        """A negative count used to end in a ValueError traceback from ``np.logspace``."""
+        with pytest.raises(ConfigError, match=r"^n_deltas must be an integer in \[5, inf\]"):
+            driver({"n_deltas": n_deltas}, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"delta_min": -1.0},
+            {"delta_min": 0.0},
+            {"delta_min": 0},
+            {"delta_max": 0.5},
+            {"delta_max": 0.7},
+            {"delta_min": 0.05, "delta_max": 0.01},
+            {"delta_min": 0.01, "delta_max": 0.01},
+        ],
+        ids=repr,
+    )
+    def test_bad_delta_bounds_rejected_before_the_grid(self, bad, tmp_path):
+        """A bound at or below 0 used to reach ``np.log10`` and warn before a later error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="delta_min and delta_max must satisfy"):
+                run_rates(dict(TINY_RATES, **bad), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestStabilityDriver:
     def test_rows_cover_both_sweeps_without_duplicates(self, tmp_path):
@@ -174,6 +211,33 @@ class TestStabilityDriver:
         with pytest.raises(ConfigError):
             run_stability(dict(TINY_STABILITY, **bad), out_dir=tmp_path)
         assert not (tmp_path / "stability.csv").exists()
+
+    def test_manifest_records_phase_timings(self, tmp_path):
+        run_stability(TINY_STABILITY, out_dir=tmp_path)
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        phases = [timings[key] for key in ("seconds_robust", "seconds_vanishing")]
+        assert min(phases) > 0.0
+        assert sum(phases) <= timings["seconds_total"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"robust_delta_min": 0.0},
+            {"robust_delta_min": -1e-3},
+            {"robust_delta_max": 0.6},
+            {"vanishing_delta_min": 0.2, "vanishing_delta_max": 0.1},
+            {"vanishing_delta_max": 0.5},
+        ],
+        ids=repr,
+    )
+    def test_bad_delta_bounds_rejected_before_the_grid(self, bad, tmp_path):
+        """``robust_delta_min = 0`` used to send ``-inf`` through ``np.logspace`` with a warning."""
+        prefix = next(iter(bad)).split("delta")[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^{prefix}delta_min and {prefix}delta_max"):
+                run_stability(dict(TINY_STABILITY, **bad), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainSeqDriver:
@@ -245,6 +309,18 @@ class TestNoiseDriver:
         ).read_bytes() == (tmp_path / "b/grad_hist.csv").read_bytes()
 
 
+    def test_rate_rows_do_not_depend_on_the_other_rates(self, tmp_path):
+        """The study fits its rates together; a rate's rows must not see its neighbours."""
+        seen = set()
+        for rates in ([0.4], [0.2, 0.3, 0.4], [0.0, 0.4]):
+            out = tmp_path / "_".join(map(str, rates))
+            run_noise(dict(TINY_NOISE, noise_rates=rates), seed=4, out_dir=out)
+            lines = (out / "noise.csv").read_bytes().splitlines()
+            rows = [line for line in lines if line.split(b",")[2] == b"0.4"]
+            assert len(rows) == 4
+            seen.add((b"\n".join(rows), (out / "grad_hist.csv").read_bytes()))
+        assert len(seen) == 1
+
     def test_manifest_records_phase_timings(self, tmp_path):
         run_noise(TINY_NOISE, seed=0, out_dir=tmp_path)
         timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
@@ -311,38 +387,47 @@ def _per_loss_fit(x, y, cfg, seed, grad_scores, *params):
     return weights
 
 
+@pytest.mark.parametrize("rates", [[0.0, 0.2, 0.4], [0.4]], ids=["three_rates", "one_rate"])
 @pytest.mark.parametrize("n_classes", [2, 3, 9])
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("q_grid", [[0.5], [0.1, 0.5, 1.0]], ids=["sqrt", "grid"])
-def test_stacked_fit_matches_per_loss_oracle_bitwise(seed, q_grid, n_classes):
+def test_stacked_fit_matches_per_loss_oracle_bitwise(seed, q_grid, n_classes, rates):
     """Every row of the stacked fit is the per-loss fit on the same batches, bit for bit.
 
-    ``q = 0.5`` is the trap: numpy raises a scalar ``** 0.5`` with ``sqrt``, an
-    array of exponents with ``pow``, and the two can differ in the last bit.
-    The oracle's softmax reduces the class axis, the stacked fit's does not.
+    Each noise rate's rows equal the one-loss fits on that rate's own
+    dataset: its features and its labels.  ``q = 0.5`` is the trap: numpy
+    raises a scalar ``** 0.5`` with ``sqrt``, an array of exponents with
+    ``pow``, and the two can differ in the last bit.  The oracle's softmax
+    reduces the class axis, the stacked fit's does not.
     """
     cfg = dict(NOISE_DEFAULTS, **dict(TINY_NOISE, q_grid=q_grid, n_classes=n_classes))
-    data = generate_idn_dataset(
-        IdnSpec(
-            n_train=cfg["n_train"],
-            n_test=0,
-            dim=cfg["dim"],
-            n_classes=cfg["n_classes"],
-            noise_rate=0.4,
-            seed=seed,
-            center_scale=cfg["center_scale"],
+    datasets = [
+        generate_idn_dataset(
+            IdnSpec(
+                n_train=cfg["n_train"],
+                n_test=0,
+                dim=cfg["dim"],
+                n_classes=cfg["n_classes"],
+                noise_rate=rate,
+                seed=seed,
+                center_scale=cfg["center_scale"],
+            )
         )
-    )
-    x = np.hstack([data.x_train, np.ones((cfg["n_train"], 1))])
+        for rate in rates
+    ]
+    xs = [np.hstack([data.x_train, np.ones((cfg["n_train"], 1))]) for data in datasets]
+    labels = np.stack([data.y_train for data in datasets])
     spec = LinearCoreSpec(BaseLoss.logistic(), side=ONE_SIDED, tau=cfg["tau"])
-    stacked = _train_linear_stacked(x, data.y_train, cfg, seed, spec)
-    oracle = [_per_loss_fit(x, data.y_train, cfg, seed, _ce_oracle)]
-    oracle += [_per_loss_fit(x, data.y_train, cfg, seed, _gce_oracle, q) for q in q_grid]
-    oracle.append(_per_loss_fit(x, data.y_train, cfg, seed, partial(mc_sum_loss_gradient, spec)))
-    assert stacked.shape == (len(oracle), cfg["n_classes"], x.shape[1])
-    for row, want in zip(stacked, oracle):
-        assert np.any(want != 0.0)
-        assert np.array_equal(row, want)
+    stacked = _train_linear_stacked(xs[0], labels, cfg, seed, spec)
+    assert stacked.shape == (len(rates), len(q_grid) + 2, cfg["n_classes"], xs[0].shape[1])
+    for rate_rows, x, y in zip(stacked, xs, labels):
+        oracle = [_per_loss_fit(x, y, cfg, seed, _ce_oracle)]
+        oracle += [_per_loss_fit(x, y, cfg, seed, _gce_oracle, q) for q in q_grid]
+        oracle.append(_per_loss_fit(x, y, cfg, seed, partial(mc_sum_loss_gradient, spec)))
+        assert rate_rows.shape == (len(oracle), cfg["n_classes"], x.shape[1])
+        for row, want in zip(rate_rows, oracle):
+            assert np.any(want != 0.0)
+            assert np.array_equal(row, want)
 
 
 class TestScalingDriver:

@@ -366,3 +366,63 @@ def test_class_axis_kernels_match_reduction_form_bitwise(n):
         want = _reduction_softmax_gradients(scores[None], labels, (q,))[0]
         got = ce_gradient(scores, labels) if q == 0.0 else gce_gradient(scores, labels, q)
         assert np.array_equal(got, want)
+
+
+def _indexed_sum_loss_gradient(scores, labels, spec):
+    """The sum-loss gradient of ``(B, C)`` scores, gathered with a row index per label."""
+    rows = np.arange(labels.size)
+    slopes = lc_derivative(spec, scores[rows, labels][:, None] - scores)
+    grad = -slopes
+    grad[rows, labels] = slopes.sum(axis=1) - slopes[rows, labels]
+    return grad
+
+
+@pytest.mark.parametrize("spec", [LOG_ONE, EXP_SYM], ids=["logistic_one_sided", "exp_symmetric"])
+@pytest.mark.parametrize("n_rates", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 10])
+def test_rate_axis_kernels_match_separate_calls_bitwise(n, n_rates, spec):
+    """``(R, B)`` labels against ``(R, F, B, C)`` scores give the bytes of R separate calls.
+
+    The inputs are the trainer's strided views of one score block: the
+    softmax rows ``[:, :-1]`` and the sum-loss row ``[:, -1]``.
+    """
+    from lincore.multiclass import _softmax_gradients, _sum_loss_gradient
+
+    rng = np.random.default_rng(41 + n)
+    qs = (0.0, 0.1, 0.5, 0.7, 1.0)
+    scores = _class_axis_scores(rng, (n_rates, len(qs) + 1, 64, n))
+    labels = rng.integers(0, n, size=(n_rates, 64))
+    softmax_rows = _softmax_gradients(scores[:, :-1], labels, qs)
+    sum_rows = _sum_loss_gradient(scores[:, -1], labels, spec)
+    assert softmax_rows.shape == (n_rates, len(qs), 64, n)
+    assert sum_rows.shape == (n_rates, 64, n)
+    for r in range(n_rates):
+        one_rate = scores[r, :-1].copy()
+        assert softmax_rows[r].tobytes() == _softmax_gradients(one_rate, labels[r], qs).tobytes()
+        want = _reduction_softmax_gradients(one_rate, labels[r], qs)
+        assert softmax_rows[r].tobytes() == want.tobytes()
+        want = _indexed_sum_loss_gradient(scores[r, -1].copy(), labels[r], spec)
+        assert sum_rows[r].tobytes() == want.tobytes()
+        assert sum_rows[r].tobytes() == mc_sum_loss_gradient(spec, scores[r, -1], labels[r]).tobytes()
+
+
+@pytest.mark.parametrize("n_rates, batch", [(1, 1), (3, 1), (1, 64), (3, 64), (2, 257)])
+def test_exponent_column_powers_match_scalar_powers_bitwise(n_rates, batch):
+    """One ``pow`` over an exponent column gives each row the bits of ``row ** float(q)``.
+
+    Numpy sends a scalar ``** 0.5`` to ``sqrt``; a single-column batch is
+    the case where the exponent column is no longer broadcast along a row.
+    """
+    from lincore.multiclass import _powers
+
+    rng = np.random.default_rng(batch + 10 * n_rates)
+    qs = tuple(k / 10 for k in range(11)) + tuple(1.0 - rng.random(40))
+    special = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+    p = rng.random((n_rates, len(qs), batch)) ** 8
+    flat = p.reshape(-1)
+    flat[::3] = np.resize(special, flat[::3].size)
+    got = _powers(p, qs)
+    assert got.shape == p.shape
+    for r in range(n_rates):
+        for f, q in enumerate(qs):
+            assert got[r, f].tobytes() == (p[r, f] ** float(q)).tobytes()
