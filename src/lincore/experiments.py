@@ -72,7 +72,7 @@ def _write_artifacts(
     seed: int,
     t0: float,
     files: dict,
-    phases: dict | None = None,
+    phases: dict,
 ) -> None:
     """Write a driver's files and its ``manifest.json`` into ``out_dir``.
 
@@ -115,7 +115,7 @@ def _write_artifacts(
                 "cpu_count": os.cpu_count(),
                 "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
             },
-            "timings": {"seconds_total": time.perf_counter() - t0, **(phases or {})},
+            "timings": {"seconds_total": time.perf_counter() - t0, **phases},
             "artifacts": list(files),
             "nondeterministic_columns": {
                 name: cols for name, cols in _TIMING_COLUMNS.items() if name in files
@@ -511,15 +511,10 @@ class NoiseResult:
 
 def _check_noise_config(cfg: dict) -> None:
     """Reject a noise config that would train on nothing or on NaN, or drop an artifact."""
-    try:
-        qs = [float(q) for q in cfg["q_grid"]]
-        rates = [float(rate) for rate in cfg["noise_rates"]]
-        eta, decay, hist = (float(cfg[key]) for key in ("eta", "weight_decay", "hist_noise_rate"))
-    except (TypeError, ValueError):
-        raise ConfigError(
-            "q_grid and noise_rates must be lists of numbers; eta, weight_decay and "
-            "hist_noise_rate numbers"
-        ) from None
+    for key in ("q_grid", "noise_rates"):
+        _check_entries(cfg, key, _is_real, "finite numbers")
+    qs, rates = cfg["q_grid"], cfg["noise_rates"]
+    eta, decay, hist = cfg["eta"], cfg["weight_decay"], cfg["hist_noise_rate"]
     for key in ("epochs", "n_test", "n_bins"):
         _check_count(cfg, key, 1)
     _check_count(cfg, "batch_size", 1, cfg["n_train"])
@@ -530,8 +525,8 @@ def _check_noise_config(cfg: dict) -> None:
             any(abs(rate - hist) < 1e-12 for rate in rates),
             f"hist_noise_rate {hist} is not one of noise_rates {rates}",
         ),
-        (np.isfinite(eta) and eta > 0.0, f"eta must be finite and > 0, got {eta}"),
-        (np.isfinite(decay) and decay >= 0.0, f"weight_decay must be finite and >= 0, got {decay}"),
+        (eta > 0.0, f"eta must be > 0, got {eta}"),
+        (decay >= 0.0, f"weight_decay must be >= 0, got {decay}"),
     ]
     for ok, message in checks:
         if not ok:

@@ -170,19 +170,14 @@ def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _Scal
     return _ScaledChain(alpha, beta, kernel, edge_weights, log_partition)
 
 
-def _log_space_forward(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, float]:
-    """Forward half of the log-space recursion: log ``alpha`` and ``log Z``."""
-    alpha = np.empty_like(unary)
-    alpha[0] = unary[0]
-    for j in range(1, unary.shape[0]):
-        alpha[j] = unary[j] + _logsumexp(alpha[j - 1][:, None] + transition, axis=0)
-    return alpha, float(_logsumexp(alpha[-1], axis=0))
-
-
 def _log_space_forward_backward(unary: np.ndarray, transition: np.ndarray) -> Marginals:
     """Max-shifted log-sum-exp recursion for potentials beyond the scaled range."""
     length, n = unary.shape
-    alpha, log_partition = _log_space_forward(unary, transition)
+    alpha = np.empty_like(unary)
+    alpha[0] = unary[0]
+    for j in range(1, length):
+        alpha[j] = unary[j] + _logsumexp(alpha[j - 1][:, None] + transition, axis=0)
+    log_partition = float(_logsumexp(alpha[-1], axis=0))
     beta = np.zeros((length, n))
     for j in range(length - 2, -1, -1):
         beta[j] = _logsumexp(transition + (unary[j + 1] + beta[j + 1])[None, :], axis=1)
@@ -217,7 +212,7 @@ def _crf_nll(model: ChainModel, x: np.ndarray, y: np.ndarray) -> float:
     unary = _unary_table(model, x)
     forward = _scaled_forward(unary, model.transition)
     if forward is None:
-        log_partition = _log_space_forward(unary, model.transition)[1]
+        log_partition = _log_space_forward_backward(unary, model.transition).log_partition
     else:
         log_partition = forward[-1]
     return float(log_partition - _chain_scores(model, x, y[None])[0])

@@ -252,14 +252,14 @@ def feature_difference(n_labels: int, x, plus, minus) -> FeatureDelta:
     return _feature_delta(n_labels, np.asarray(x, dtype=np.float64), sequences, np.ones(2), split=1)
 
 
-def enumerate_sequences(n_labels: int, length: int, limit: int = ENUMERATION_LIMIT) -> np.ndarray:
+def enumerate_sequences(n_labels: int, length: int) -> np.ndarray:
     """All label sequences in lexicographic order, shape (n_labels**length, length)."""
     if n_labels < 2 or length < 1:
         raise DomainError("need n_labels >= 2 and length >= 1")
     total = n_labels**length
-    if total > limit:
+    if total > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"label space size {total} exceeds the enumeration guard {limit}"
+            f"label space size {total} exceeds the enumeration guard {ENUMERATION_LIMIT}"
         )
     return np.array(list(product(range(n_labels), repeat=length)), dtype=np.int64)
 

@@ -43,7 +43,6 @@ from .inference import (
     ssvm_loss_and_subgradient,
 )
 from .losses import BaseLoss, LinearCoreSpec, ONE_SIDED, lc_derivative
-from .multiclass import _integer_labels
 from .rng import (
     DOMAIN_DIAGNOSTIC,
     DOMAIN_TRAIN_INSTANCE,
@@ -72,9 +71,9 @@ UNIFORM_FULL = "uniform_full"
 
 OBJECTIVES = ("ssvm", "crf", "lincore", "lincore_ksample")
 
-# The pair oracle loops over (outer, inner) pairs in Python, so it
-# enumerates far fewer sequences than the vectorized oracles.
-_PAIR_ORACLE_LIMIT = 64
+# Training stops with :class:`TrainingDivergedError` once the weight norm
+# or a finite evaluation objective exceeds this.
+_DIVERGENCE_GUARD = 1e12
 
 
 def default_train_spec() -> LinearCoreSpec:
@@ -230,7 +229,7 @@ def exact_pair_estimator_expectation(
     x, y = _check_instance(model, x, y)
     n = model.n_labels
     length = y.size
-    seqs = enumerate_sequences(n, length, _PAIR_ORACLE_LIMIT)
+    seqs = enumerate_sequences(n, length)
     feats = np.stack([joint_feature(n, x, seq) for seq in seqs])
     scores = all_sequence_scores(model, x, seqs)
     expectation = np.zeros(feats.shape[1])
@@ -238,16 +237,13 @@ def exact_pair_estimator_expectation(
         d1 = corruption_probability(y, outer, n, proposal.corruption_rate)
         w1 = (1.0 - hamming_loss(outer, y)) / d1
         if proposal.inner == NEIGHBOR:
-            inner_idx = [
-                j for j, other in enumerate(seqs) if int(np.sum(other != outer)) == 1
-            ]
+            inner = np.count_nonzero(seqs != outer, axis=1) == 1
             d2 = neighbor_probability(length, n)
         else:
-            inner_idx = [j for j in range(len(seqs)) if j != i]
+            inner = np.arange(len(seqs)) != i
             d2 = uniform_full_probability(length, n)
-        for j in inner_idx:
-            coeff = d1 * d2 * w1 * (1.0 / d2) * lc_derivative(spec, scores[i] - scores[j])
-            expectation += coeff * (feats[i] - feats[j])
+        coeff = d1 * d2 * w1 * (1.0 / d2) * lc_derivative(spec, scores[i] - scores[inner])
+        expectation += coeff @ (feats[i] - feats[inner])
     return expectation
 
 
@@ -319,23 +315,17 @@ def empirical_gradient_variance(
 
 @dataclass(frozen=True)
 class SequenceData:
-    """Train/test splits of (inputs (L, d), labels (L,)) instances.
-
-    ``n_labels`` sizes the label alphabet; when omitted it is inferred from
-    the largest label present anywhere in the data.
-    """
+    """Train/test splits of (inputs (L, d), labels (L,)) instances over
+    an alphabet of ``n_labels`` labels."""
 
     train: list
     test: list = field(default_factory=list)
-    n_labels: int | None = None
+    n_labels: int = field(kw_only=True)
 
-    def label_count(self) -> int:
-        if self.n_labels is not None:
-            return int(self.n_labels)
-        labels = [_integer_labels(y) for _, y in list(self.train) + list(self.test)]
-        if any(y.size == 0 for y in labels):
-            raise DomainError("label sequences must be non-empty")
-        return max(max((int(y.max()) for y in labels), default=0) + 1, 2)
+    def __post_init__(self) -> None:
+        n = self.n_labels
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise DomainError(f"n_labels must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -351,7 +341,6 @@ class TrainConfig:
     n_negatives: int = 4
     eval_interval: int = 0
     eval_max_instances: int = 64
-    divergence_guard: float = 1e12
 
     def __post_init__(self) -> None:
         if not self.eta >= 0.0:
@@ -469,9 +458,9 @@ def _training_steps(seed: int, n_train: int, batch_size: int, iterations: int):
     rng = keyed_rng()
     for t, (pick_key,), slot_keys in zip(range(1, iterations + 1), pick_keys, sample_keys):
         draw = rekey(rng, pick_key).integers
-        # A lone pick takes the scalar draw: the value of ``size=1`` at a
-        # quarter of the cost, as the stream is rekeyed before it draws again.
-        picks = draw(0, n_train, size=batch_size) if batch_size > 1 else (draw(0, n_train),)
+        # Successive scalar draws give the values of one ``size=batch_size``
+        # draw; a lone scalar draw costs a quarter of a ``size=1`` one.
+        picks = [draw(0, n_train) for _ in range(batch_size)]
         for slot, (idx, key) in enumerate(zip(picks, slot_keys)):
             yield t, slot, int(idx), rekey(rng, key)
 
@@ -488,8 +477,7 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     x0 = np.asarray(data.train[0][0], dtype=np.float64)
     if x0.ndim != 2:
         raise DomainError("inputs must be (length, dim) matrices")
-    n_labels = data.label_count()
-    model = ChainModel.zeros(n_labels, x0.shape[1])
+    model = ChainModel.zeros(data.n_labels, x0.shape[1])
     # Check every instance before the first step: the pair samplers index
     # weights by label directly, so a label such as -1 would wrap silently.
     train = [_check_instance(model, x, y) for x, y in data.train]
@@ -504,16 +492,16 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
         # The objective alone misses a runaway: it is NaN wherever the
         # label space is too large to enumerate.
         norm = float(np.hypot(np.linalg.norm(model.unary), np.linalg.norm(model.transition)))
-        if not norm <= config.divergence_guard:
+        if not norm <= _DIVERGENCE_GUARD:
             raise TrainingDivergedError(
                 f"weight norm {norm:.3g} exceeded guard "
-                f"{config.divergence_guard:.3g} at iteration {iteration}"
+                f"{_DIVERGENCE_GUARD:.3g} at iteration {iteration}"
             )
         objective = _mean_objective(config.objective, model, eval_instances, config)
-        if np.isfinite(objective) and objective > config.divergence_guard:
+        if np.isfinite(objective) and objective > _DIVERGENCE_GUARD:
             raise TrainingDivergedError(
                 f"objective {objective:.3g} exceeded guard "
-                f"{config.divergence_guard:.3g} at iteration {iteration}"
+                f"{_DIVERGENCE_GUARD:.3g} at iteration {iteration}"
             )
         history.append(
             HistoryRow(

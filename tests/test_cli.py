@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_experiments import TINY_NOISE, TINY_SCALING, TINY_STABILITY
 
 from lincore.cli import main
 
@@ -58,6 +60,59 @@ class TestRatesCommand:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_an_object_exits_1(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    code = main(["rates", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
+    assert code == 1
+    assert "error: config file must hold a flat JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_NUMBER = r"-?[0-9.]+(e-?[0-9]+)?"
+
+
+@pytest.mark.parametrize(
+    "command, config, lines, artifacts",
+    [
+        (
+            "stability",
+            TINY_STABILITY,
+            [rf"tau 1: slope {_NUMBER}", rf"tau 0\.0001: slope {_NUMBER}"],
+            ["stability.csv"],
+        ),
+        (
+            "scaling",
+            TINY_SCALING,
+            [
+                rf"{method} Y={size}: {_NUMBER} ms/batch( \(jitter\))?"
+                for method in ("ssvm", "crf", "lincore")
+                for size in (4, 8)
+            ],
+            ["scaling.csv"],
+        ),
+        (
+            "noise",
+            TINY_NOISE,
+            [rf"{loss} rho=0\.4: accuracy {_NUMBER}" for loss in ("ce", "gce_best", "lc")],
+            ["noise.csv", "grad_hist.csv"],
+        ),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_driver_command_prints_its_summary(tmp_path, capsys, command, config, lines, artifacts):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main([command, "--seed", "3", "--out-dir", str(tmp_path / "out"), "--config", str(path)])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(lines)
+    assert all(any(re.fullmatch(line, row) for row in printed) for line in lines), printed
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["artifacts"] == artifacts
+
+
 def _run_bad_config(tmp_path, command: str, overrides: dict) -> subprocess.CompletedProcess:
     """Run ``lincore <command> --config bad.json`` in a fresh interpreter."""
     config = tmp_path / "bad.json"
@@ -78,6 +133,17 @@ def test_bad_noise_config_exits_1_without_traceback(tmp_path):
     done = _run_bad_config(tmp_path, "noise", {"q_grid": [0.0, 0.5]})
     assert done.returncode == 1
     assert "error: q_grid entries must lie in (0, 1]" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["q_grid", "noise_rates"])
+@pytest.mark.parametrize("entry", ["0.5", True], ids=repr)
+def test_noise_list_of_non_numbers_exits_1_without_traceback(tmp_path, key, entry):
+    """A numeric string or a bool used to pass as a q value or a noise rate."""
+    done = _run_bad_config(tmp_path, "noise", {key: [entry]})
+    assert done.returncode == 1
+    assert f"error: {key} must be a list of finite numbers" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
 

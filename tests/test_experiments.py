@@ -337,6 +337,10 @@ class TestNoiseDriver:
             {"q_grid": [0.5, 1.5]},
             {"q_grid": []},
             {"q_grid": ["half"]},
+            {"q_grid": ["0.5"]},
+            {"q_grid": [True]},
+            {"noise_rates": ["0.4"]},
+            {"noise_rates": [0.4, True]},
             {"epochs": 0},
             {"batch_size": TINY_NOISE["n_train"] + 1},
             {"batch_size": 0},

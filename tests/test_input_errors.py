@@ -1,0 +1,108 @@
+"""Input-error branches at the API boundary: each raises its LincoreError subclass."""
+
+import re
+
+import numpy as np
+import pytest
+
+from lincore import (
+    BaseLoss,
+    ChainModel,
+    ConfigError,
+    DomainError,
+    IdnSpec,
+    LinearCoreSpec,
+    SequenceData,
+    TrainConfig,
+    enumerate_sequences,
+    joint_feature,
+    sgd_train,
+    weighted_margin_infimum,
+    weights_to_model,
+)
+from lincore.experiments import run_train_seq
+from lincore.multiclass import conditional_surrogate_regret
+from lincore.structured import validate_loss_matrix
+
+TINY_TRAIN_SEQ = {"n_train": 2, "n_test": 1, "iterations": 1}
+
+CASES = {
+    "chain_model_unary_rank": (
+        DomainError,
+        "unary weights",
+        lambda: ChainModel(np.zeros(3), np.zeros((3, 3))),
+    ),
+    "chain_model_transition_shape": (
+        DomainError,
+        "transition matrix",
+        lambda: ChainModel(np.zeros((3, 2)), np.zeros((2, 2))),
+    ),
+    "chain_model_non_finite": (
+        DomainError,
+        "finite",
+        lambda: ChainModel(np.full((2, 2), np.nan), np.zeros((2, 2))),
+    ),
+    "weights_to_model_length": (
+        DomainError,
+        "flat weights",
+        lambda: weights_to_model(np.zeros(5), 2, 2),
+    ),
+    "joint_feature_length": (
+        DomainError,
+        "matching label",
+        lambda: joint_feature(2, np.zeros((3, 2)), [0, 1]),
+    ),
+    "enumerate_one_label": (DomainError, "n_labels >= 2", lambda: enumerate_sequences(1, 3)),
+    "loss_matrix_not_square": (
+        DomainError,
+        "square",
+        lambda: validate_loss_matrix(np.zeros((2, 3))),
+    ),
+    "loss_matrix_non_finite": (
+        DomainError,
+        "finite",
+        lambda: validate_loss_matrix([[0.0, np.nan], [1.0, 0.0]]),
+    ),
+    "margin_infimum_zero_weights": (
+        DomainError,
+        "both vanish",
+        lambda: weighted_margin_infimum(BaseLoss.logistic(), 0.0, 0.0),
+    ),
+    "idn_spec_one_class": (DomainError, "n_classes >= 2", lambda: IdnSpec(n_classes=1)),
+    "surrogate_regret_shapes": (
+        DomainError,
+        "matching shapes",
+        lambda: conditional_surrogate_regret(
+            LinearCoreSpec(BaseLoss.logistic()), np.ones(3) / 3, np.zeros(2)
+        ),
+    ),
+    "sgd_train_no_data": (
+        DomainError,
+        "empty",
+        lambda: sgd_train(SequenceData(train=[], n_labels=2), TrainConfig()),
+    ),
+    "sgd_train_1d_inputs": (
+        DomainError,
+        "(length, dim)",
+        lambda: sgd_train(
+            SequenceData(train=[(np.zeros(3), np.zeros(3, dtype=int))], n_labels=2), TrainConfig()
+        ),
+    ),
+    "driver_unknown_base": (
+        ConfigError,
+        "unknown base loss",
+        lambda: run_train_seq(dict(TINY_TRAIN_SEQ, base="bogus")),
+    ),
+    "driver_unknown_side": (
+        ConfigError,
+        "unknown smoothing side",
+        lambda: run_train_seq(dict(TINY_TRAIN_SEQ, side="bogus")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_input_error_raises_its_lincore_error(name):
+    error, message, call = CASES[name]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -73,7 +73,7 @@ def test_iteration_keys_cross_block_boundaries(monkeypatch):
 def _train_with_stream_rng(data, config):
     """sgd_train's step loop written directly on stream_rng, without evaluation."""
     train = [(np.asarray(x, float), np.asarray(y, np.int64)) for x, y in data.train]
-    model = ChainModel.zeros(data.label_count(), train[0][0].shape[1])
+    model = ChainModel.zeros(data.n_labels, train[0][0].shape[1])
     proposal = PairProposal(config.corruption_rate, config.inner_proposal)
     for t in range(1, config.iterations + 1):
         picks = stream_rng(config.seed, DOMAIN_TRAIN_INSTANCE, t).integers(

@@ -40,6 +40,7 @@ from lincore import (
     viterbi,
 )
 from lincore import inference, trainers
+from lincore.experiments import run_train_seq
 from lincore.rng import (
     DOMAIN_DIAGNOSTIC,
     DOMAIN_TRAIN_SAMPLE,
@@ -351,7 +352,6 @@ class TestSgdTrain:
             iterations=60,
             objective="lincore",
             eval_interval=20,
-            divergence_guard=1e12,
         )
         with pytest.raises(TrainingDivergedError):
             sgd_train(data, config)
@@ -371,6 +371,29 @@ class TestSgdTrain:
         )
         with pytest.raises(TrainingDivergedError, match="weight norm"):
             sgd_train(data, config)
+
+    def test_divergence_guard_sees_the_objective(self, monkeypatch):
+        """At zero weights the train-seq shape (Y=3, L=4) has objective 5,154
+        and weight norm 0, so only the objective half can trip."""
+        monkeypatch.setattr(trainers, "_DIVERGENCE_GUARD", 50.0)
+        with pytest.raises(TrainingDivergedError, match="objective 5.15e\\+03 .* at iteration 0$"):
+            run_train_seq({"iterations": 1})
+
+    def test_crf_objective_past_the_scaled_range(self):
+        """Past the scaled recursion's range the evaluation objective takes
+        ``log Z`` from the log-space recursion, with the bits of
+        :func:`crf_nll_and_gradient`."""
+        data = generate_hmm_split(HmmSpec(length=4, n_labels=3, dim=5, n_sequences=20, seed=1), 2)
+        config = TrainConfig(
+            eta=100.0, iterations=3, objective="crf", eval_interval=3, eval_max_instances=8
+        )
+        result = sgd_train(data, config)
+        model, instances = result.model, data.train[:8]
+        for x, _ in instances:
+            unary = inference._unary_table(model, np.asarray(x, dtype=np.float64))
+            assert inference._scaled_forward(unary, model.transition) is None
+        nll = [crf_nll_and_gradient(model, x, y)[0] for x, y in instances]
+        assert result.history[-1].objective == float(np.mean(nll))
 
     def test_objective_validation(self):
         with pytest.raises(DomainError):
@@ -602,24 +625,31 @@ def test_evaluations_reuse_the_checked_instances(monkeypatch):
 
 def test_float_labels_rejected_instead_of_truncated():
     """Float labels used to be cast to int64: [0.5, 1.7] trained as [0, 1]."""
-    data = SequenceData(train=[(np.zeros((2, 2)), np.array([0.5, 1.7]))])
+    data = SequenceData(train=[(np.zeros((2, 2)), np.array([0.5, 1.7]))], n_labels=2)
     with pytest.raises(DomainError, match="integers"):
         sgd_train(data, TrainConfig(iterations=2))
     with pytest.raises(DomainError, match="integers"):
         loss_augmented_viterbi(ChainModel.zeros(3, 2), np.zeros((2, 2)), [0.7, 1.2])
 
 
+@pytest.mark.parametrize("n_labels", [1, 0, True, 2.5, "3"], ids=repr)
+def test_label_count_must_be_an_integer_of_at_least_2(n_labels):
+    """On all-zero labels a count of 1 or True used to reach numpy's
+    ``ValueError: high <= 0``, and a count of 2.5 trained as 2."""
+    with pytest.raises(DomainError, match="n_labels"):
+        SequenceData(train=tiny_data().train, n_labels=n_labels)
+
+
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_empty_label_sequence_rejected(split):
-    """Inferring the label count from an empty sequence used to raise numpy's
-    bare ValueError before any instance was checked."""
+    """An empty sequence is rejected before the first step, in either split."""
     empty = (np.zeros((0, 2)), np.array([], dtype=np.int64))
     good = (np.zeros((2, 2)), np.array([0, 1]))
     data = {
-        "train": SequenceData(train=[good, empty], test=[good]),
-        "test": SequenceData(train=[good], test=[empty]),
+        "train": SequenceData(train=[good, empty], test=[good], n_labels=2),
+        "test": SequenceData(train=[good], test=[empty], n_labels=2),
     }[split]
-    with pytest.raises(DomainError, match="non-empty"):
+    with pytest.raises(DomainError, match="length >= 1"):
         sgd_train(data, TrainConfig(iterations=2))
 
 
