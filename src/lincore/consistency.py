@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationOverflowError
 from .losses import (
     BaseLoss,
     LinearCoreSpec,
@@ -65,9 +65,13 @@ def conditional_objective(loss: MarginLoss, t: float, u):
 def weighted_margin_infimum(loss: MarginLoss, w_pos, w_neg) -> MinimizeResult:
     """Minimize ``w_pos*phi(u) + w_neg*phi(-u)`` over the whole real line.
 
-    Vectorized over weight pairs.  Zero weights are masked out of the
-    corresponding tail evaluation so that exponential tails with weight
-    exactly zero cannot overflow.
+    Vectorized over weight pairs.  An evaluation gathers both sides' points,
+    ``u`` where ``w_pos > 0`` and ``-u`` where ``w_neg > 0``, makes one
+    ``loss.kernel`` call on them, weighs the result and adds the two sides.
+    A side with weight zero is left out, so an exponential tail with weight
+    exactly zero cannot overflow.  An edge value that overflows to ``+inf``
+    is an uphill value like any other; an infimum that is not finite raises
+    :class:`~lincore.errors.EvaluationOverflowError`.
     """
     w_pos = np.atleast_1d(np.asarray(w_pos, dtype=np.float64))
     w_neg = np.atleast_1d(np.asarray(w_neg, dtype=np.float64))
@@ -78,23 +82,37 @@ def weighted_margin_infimum(loss: MarginLoss, w_pos, w_neg) -> MinimizeResult:
         raise DomainError("pair weights must be non-negative")
     if np.any(w_pos + w_neg <= 0.0):
         raise DomainError("pair weights must not both vanish")
-    pos = w_pos > 0.0
-    neg = w_neg > 0.0
-    w_p = w_pos[pos]
+    pos, neg = np.flatnonzero(w_pos > 0.0), np.flatnonzero(w_neg > 0.0)
+    at = np.concatenate([pos, neg])
+    flip = np.concatenate([np.ones(pos.size), np.full(neg.size, -1.0)])
+    # ``terms`` holds the weighted kernel values, then +0.0 standing in for a
+    # missing positive side and -0.0 for a missing negative side.  A problem
+    # adds its two entries: ``0.0 + w_neg*phi(-u)`` and ``w_pos*phi(u) + -0.0``
+    # keep the bits of a zero start plus each present side, signed zeros too.
+    terms = np.zeros(at.size + 2)
+    terms[-1] = -0.0
+    head = terms[: at.size]
+    first = np.full(w_pos.shape, at.size)
+    first[pos] = np.arange(pos.size)
+    second = np.full(w_pos.shape, at.size + 1)
+    second[neg] = np.arange(pos.size, at.size)
 
-    def weighted(fn, w_neg_side: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``w_pos*fn(u) + w_neg_side*fn(-u)``: one ``fn`` call on both sides' points."""
-        at = np.asarray(fn(np.concatenate([u[pos], -u[neg]])), dtype=np.float64)
-        out = np.zeros_like(u)
-        out[pos] = w_p * at[: w_p.size]
-        out[neg] += w_neg_side * at[w_p.size :]
-        return out
+    def weighted(order: int, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+        np.multiply(loss.kernel(u[at] * flip, order), weights, out=head)
+        return terms[first] + terms[second]
 
-    g = partial(weighted, loss.value, w_neg[neg])
-    g_prime = partial(weighted, loss.derivative, -w_neg[neg])
+    g = partial(weighted, 0, np.concatenate([w_pos[pos], w_neg[neg]]))
+    g_prime = partial(weighted, 1, np.concatenate([w_pos[pos], -w_neg[neg]]))
     lo = np.full(w_pos.shape, -loss.bracket_halfwidth)
     hi = np.full(w_pos.shape, loss.bracket_halfwidth)
-    return minimize_convex(g, g_prime, lo, hi)
+    with np.errstate(over="ignore"):
+        result = minimize_convex(g, g_prime, lo, hi)
+    bad = np.flatnonzero(~np.isfinite(result.value))
+    if bad.size:
+        raise EvaluationOverflowError(
+            f"weighted margin infimum is not finite for problem indices {bad[:8].tolist()}"
+        )
+    return result
 
 
 def transformation_T(loss: MarginLoss, t):
@@ -104,8 +122,7 @@ def transformation_T(loss: MarginLoss, t):
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise DomainError("t must lie in [0, 1]")
     result = weighted_margin_infimum(loss, 0.5 * (1.0 + t_arr), 0.5 * (1.0 - t_arr))
-    at_zero = float(np.asarray(loss.value(np.zeros(1)))[0])
-    out = at_zero - result.value
+    out = loss.value(0.0) - result.value
     return float(out[0]) if scalar else out
 
 

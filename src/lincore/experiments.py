@@ -34,7 +34,7 @@ from .consistency import (
     tau_sweep,
 )
 from .datagen import HmmSpec, IdnSpec, generate_hmm_split, generate_idn_dataset
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDivergedError
 from .losses import _BASE_KINDS, _SIDES, BaseLoss, LinearCoreSpec, ONE_SIDED, SYMMETRIC
 from .multiclass import _softmax, _softmax_gradients, _sum_loss_gradient
 from .rng import DOMAIN_NOISE_TRAIN, stream_rng
@@ -539,22 +539,30 @@ def _train_linear_stacked(x, labels, cfg: dict, seed: int, spec: LinearCoreSpec)
     ``labels`` has one row per noise rate.  Row ``f = 0`` is cross-entropy, then GCE at each
     ``q_grid`` entry, then the linear-core sum loss; each model keeps the bits of its own fit.
     The gradient kernels are the unchecked ones of :mod:`lincore.multiclass`; the generator's
-    labels need no re-validation.
+    labels need no re-validation.  Instead the weights are checked once per epoch: a step
+    that overflows leaves them non-finite for good, and ``TrainingDivergedError`` names the
+    epoch where that happened.
     """
     qs = (0.0, *cfg["q_grid"])
     weights = np.zeros((labels.shape[0], len(qs) + 1, cfg["n_classes"], x.shape[1]))
     n, batch_size = x.shape[0], cfg["batch_size"]
     for epoch in range(cfg["epochs"]):
         order = stream_rng(seed, DOMAIN_NOISE_TRAIN, epoch).permutation(n)
-        for start in range(0, n - batch_size + 1, batch_size):
-            batch = order[start : start + batch_size]
-            xb, yb = x[batch], labels[:, batch]
-            scores = np.matmul(xb, weights.transpose(0, 1, 3, 2))
-            softmax_rows = _softmax_gradients(scores[:, :-1], yb, qs)
-            lc_rows = _sum_loss_gradient(scores[:, -1], yb, spec)[:, None]
-            grads = np.concatenate([softmax_rows, lc_rows], axis=1)
-            update = np.matmul(grads.transpose(0, 1, 3, 2), xb)
-            weights -= cfg["eta"] * (update / batch_size + cfg["weight_decay"] * weights)
+        # A runaway step overflows here; the check after the epoch reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n - batch_size + 1, batch_size):
+                batch = order[start : start + batch_size]
+                xb, yb = x[batch], labels[:, batch]
+                scores = np.matmul(xb, weights.transpose(0, 1, 3, 2))
+                softmax_rows = _softmax_gradients(scores[:, :-1], yb, qs)
+                lc_rows = _sum_loss_gradient(scores[:, -1], yb, spec)[:, None]
+                grads = np.concatenate([softmax_rows, lc_rows], axis=1)
+                update = np.matmul(grads.transpose(0, 1, 3, 2), xb)
+                weights -= cfg["eta"] * (update / batch_size + cfg["weight_decay"] * weights)
+        if not np.isfinite(weights).all():
+            raise TrainingDivergedError(
+                f"label-noise fit diverged in epoch {epoch}: the weights are no longer finite"
+            )
     return weights
 
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -149,8 +150,11 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
 
 
 def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
-    """Unchecked Phi (``order`` 0), Phi' (1) or Phi'' (2) of a finite array."""
+    """Phi (``order`` 0), Phi' (1) or Phi'' (2) of a finite array, unchecked but
+    for the exponential input guard."""
     if base.kind == EXPONENTIAL:
+        if arr.size and arr.max() > _EXP_INPUT_LIMIT:
+            raise EvaluationOverflowError(f"exponential base overflow at u={np.max(arr):.3g}")
         return np.exp(arr)
     if base.kind == LOGISTIC:
         if order == 0:
@@ -166,8 +170,6 @@ def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
 def _base_at(base: BaseLoss, u, order: int):
     """The checked edge of the base kernel: one validation, then ``_base``."""
     arr, scalar = _as_array(u)
-    if base.kind == EXPONENTIAL and arr.size and arr.max() > _EXP_INPUT_LIMIT:
-        raise EvaluationOverflowError(f"exponential base overflow at u={np.max(arr):.3g}")
     return _maybe_scalar(_base(base, arr, order), scalar)
 
 
@@ -187,19 +189,25 @@ def base_second_derivative(base: BaseLoss, u):
 
 
 def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = None) -> np.ndarray:
-    """Unchecked surrogate value (``order`` 0) or derivative (1, 2) of a finite array.
+    """Surrogate value (``order`` 0) or derivative (1, 2) of a finite array,
+    unchecked but for the exponential input guard on ``|u|``.
 
     The core is ``-u + tau + c0`` with slope -1 and curvature 0.  The tails
     are ``Phi^(order)(tau - u) / Phi'(0)`` on the right and
     ``Phi^(order)(-tau - u) / Phi'(0)`` on the left, negated for the first
     derivative and shifted by ``2*tau`` for the left value.  Knots take the
     core, except that ``knot`` (``LEFT`` or ``RIGHT``) gives the knot on
-    that side to its tail.  The tails call ``_base`` directly: once
+    that side to its tail.  The tails call ``_base`` through ``_tail``: once
     ``|u| <= 700`` both tail arguments are below 700 (the right one is
     ``tau - u < 0``, the left one ``-tau - u < |u|``), so the base guard
     cannot trip there.
     """
-    tau, slope0 = spec.tau, spec.base.slope_at_zero
+    if spec.base.kind == EXPONENTIAL and arr.size and np.abs(arr).max() > _EXP_INPUT_LIMIT:
+        raise EvaluationOverflowError(
+            "exponential-tail surrogate overflow: |u| > "
+            f"{_EXP_INPUT_LIMIT:g} (got {np.max(np.abs(arr)):.3g})"
+        )
+    tau = spec.tau
     if order == 0:
         # The affine core everywhere, in place, then the tails over their entries.
         out = np.negative(arr)
@@ -207,26 +215,31 @@ def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = No
         out += spec.intercept
     else:
         out = np.full_like(arr, -1.0 if order == 1 else 0.0)
-    sign = -1.0 if order == 1 else 1.0
+    # ``count_nonzero`` tests a small mask about a microsecond faster than ``.any()``.
     right = arr >= tau if knot == RIGHT else arr > tau
-    if right.any():
-        out[right] = sign * _base(spec.base, tau - arr[right], order) / slope0
+    if np.count_nonzero(right):
+        out[right] = _tail(spec.base, tau - arr[right], order)
     if spec.side == SYMMETRIC:
         left = arr <= -tau if knot == LEFT else arr < -tau
-        if left.any():
-            tail = sign * _base(spec.base, -tau - arr[left], order) / slope0
+        if np.count_nonzero(left):
+            tail = _tail(spec.base, -tau - arr[left], order)
             out[left] = tail + 2.0 * tau if order == 0 else tail
     return out
+
+
+def _tail(base: BaseLoss, arg: np.ndarray, order: int) -> np.ndarray:
+    """``Phi^(order)(arg) / Phi'(0)``, negated in place for the first derivative.
+
+    ``-(x / s)`` has the bits of ``(-1.0 * x) / s``: negation is exact and
+    division rounds symmetrically.
+    """
+    tail = _base(base, arg, order) / base.slope_at_zero
+    return np.negative(tail, out=tail) if order == 1 else tail
 
 
 def _lc_at(spec: LinearCoreSpec, u, order: int, knot: str | None = None):
     """The checked edge of the surrogate kernel: one validation, then ``_lc``."""
     arr, scalar = _as_array(u)
-    if spec.base.kind == EXPONENTIAL and arr.size and np.abs(arr).max() > _EXP_INPUT_LIMIT:
-        raise EvaluationOverflowError(
-            "exponential-tail surrogate overflow: |u| > "
-            f"{_EXP_INPUT_LIMIT:g} (got {np.max(np.abs(arr)):.3g})"
-        )
     return _maybe_scalar(_lc(spec, arr, order, knot), scalar)
 
 
@@ -285,30 +298,44 @@ def lc_branch_second_derivative(spec: LinearCoreSpec, u, side_limit: str):
 
 @dataclass(frozen=True)
 class MarginLoss:
-    """A named scalar margin loss with vectorized value and derivative.
+    """A named scalar margin loss: one kernel behind a checked value and derivative.
 
-    The consistency computations only need these three pieces, so both
+    The consistency computations only need these pieces, so both
     linear-core surrogates and the plain decreasing base losses fit this
-    one shape.  ``bracket_halfwidth`` seeds the minimizer's search interval.
+    one shape.  ``kernel(arr, order)`` is the loss (``order`` 0) or its
+    derivative (1) of a finite float64 array: it checks nothing but the
+    exponential input guard, so callers that make their own finite points
+    (the minimizer's probes) call it directly.  ``value`` and
+    ``derivative`` are its checked wrappers: a non-finite input raises
+    ``DomainError``, and a scalar gives a ``float``.
+    ``bracket_halfwidth`` seeds the minimizer's search interval.
     """
 
     name: str
-    value: object  # callable: array -> array
-    derivative: object  # callable: array -> array
+    kernel: Callable[[np.ndarray, int], np.ndarray]
     bracket_halfwidth: float = 10.0
+
+    def value(self, u):
+        arr, scalar = _as_array(u)
+        return _maybe_scalar(self.kernel(arr, 0), scalar)
+
+    def derivative(self, u):
+        arr, scalar = _as_array(u)
+        return _maybe_scalar(self.kernel(arr, 1), scalar)
 
 
 def linear_core_margin_loss(spec: LinearCoreSpec, name: str | None = None) -> MarginLoss:
-    """Wrap a linear-core spec as a :class:`MarginLoss`."""
+    """Wrap a linear-core spec as a :class:`MarginLoss` whose kernel is ``_lc``."""
     if name is None:
         prefix = "lc" if spec.side == SYMMETRIC else "lc_one_sided"
         name = f"{prefix}_{spec.base.kind}"
-    return MarginLoss(
-        name=name,
-        value=lambda u: lc_value(spec, u),
-        derivative=lambda u: lc_derivative(spec, u),
-        bracket_halfwidth=2.0 * spec.tau + 8.0,
-    )
+    return MarginLoss(name=name, kernel=partial(_lc, spec), bracket_halfwidth=2.0 * spec.tau + 8.0)
+
+
+def _flipped_base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
+    """``Phi(-u)`` (``order`` 0) or its derivative ``-Phi'(-u)`` (1): ``_base`` sign-flipped."""
+    out = _base(base, np.negative(arr), order)
+    return np.negative(out) if order == 1 else out
 
 
 def plain_margin_loss(base: BaseLoss, name: str | None = None) -> MarginLoss:
@@ -318,7 +345,6 @@ def plain_margin_loss(base: BaseLoss, name: str | None = None) -> MarginLoss:
     """
     return MarginLoss(
         name=name if name is not None else base.kind,
-        value=lambda u: base_value(base, -np.asarray(u, dtype=np.float64)),
-        derivative=lambda u: -base_derivative(base, -np.asarray(u, dtype=np.float64)),
+        kernel=partial(_flipped_base, base),
         bracket_halfwidth=10.0,
     )

@@ -26,6 +26,7 @@ already evaluated, and the best point moves only on a strict ``<``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import BracketSearchError, DomainError
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618..., a Python float: cheaper to broadcast
 
 # Golden-section iterations, and the bracket search's stall tolerance,
 # width cap and doubling cap.
@@ -130,8 +131,8 @@ def minimize_convex(
         take_left = f1 <= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
-        width = hi - lo
-        probe = np.where(take_left, hi - _INV_GOLDEN * width, lo + _INV_GOLDEN * width)
+        step = _INV_GOLDEN * (hi - lo)
+        probe = np.where(take_left, hi - step, lo + step)
         x1, x2 = np.where(take_left, probe, x2), np.where(take_left, x1, probe)
         f_probe = value(probe)
         f1, f2 = np.where(take_left, f_probe, f2), np.where(take_left, f1, f_probe)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .consistency import weighted_margin_infimum
 from .errors import DomainError, EnumerationLimitError
-from .losses import LinearCoreSpec, lc_derivative, lc_value, linear_core_margin_loss
+from .losses import LinearCoreSpec, _lc, lc_value, linear_core_margin_loss
 
 MAX_ORACLE_LABELS = 8
 
@@ -122,7 +122,7 @@ def _row_starts(shape: tuple) -> np.ndarray:
 
 def _sum_loss_gradient(scores, labels, spec):
     cells = _row_starts(scores.shape) + labels  # (..., B, C) scores, (..., B) labels
-    slopes = lc_derivative(spec, scores.reshape(-1)[cells][..., None] - scores)
+    slopes = _lc(spec, scores.reshape(-1)[cells][..., None] - scores, 1)
     grad = -slopes
     np.put(grad, cells, slopes.sum(axis=-1) - slopes.reshape(-1)[cells])
     return grad

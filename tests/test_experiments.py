@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from lincore import ConfigError, DomainError
+from lincore import ConfigError, DomainError, TrainingDivergedError
 from lincore.datagen import IdnSpec, generate_idn_dataset
 from lincore.experiments import (
     NOISE_DEFAULTS,
@@ -327,6 +327,15 @@ class TestNoiseDriver:
         phases = [timings[key] for key in ("seconds_data", "seconds_train", "seconds_eval")]
         assert min(phases) >= 0.0
         assert sum(phases) <= timings["seconds_total"]
+
+    def test_a_runaway_fit_raises_naming_its_epoch(self, tmp_path):
+        """At eta 1e8 the weights overflow within the first epoch: the fit stops
+        after it with ``TrainingDivergedError``, not with a warning from inside
+        a step or a silent NaN model."""
+        config = {"eta": 1e8, "epochs": 2, "noise_rates": [0.4], "q_grid": [1.0]}
+        with pytest.raises(TrainingDivergedError, match="in epoch 0: "):
+            run_noise(config, out_dir=tmp_path)
+        assert not (tmp_path / "noise.csv").exists()
 
     @pytest.mark.parametrize(
         "bad",

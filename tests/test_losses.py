@@ -1,6 +1,7 @@
 """Scalar base losses and linear-core surrogates: closed forms and smoothness."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from lincore import (
     lc_branch_second_derivative,
     lc_derivative,
     lc_value,
+    linear_core_margin_loss,
+    plain_margin_loss,
 )
 
 ALL_BASES = [BaseLoss.logistic(), BaseLoss.exponential(), BaseLoss.quartic_linear()]
@@ -355,3 +358,71 @@ def test_float_derivative_fast_path_matches_array_path(spec):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             lc_derivative(spec, bad)
+
+
+# ----------------------------------------------------------------------
+# MarginLoss: one unchecked kernel behind the checked value and derivative
+# ----------------------------------------------------------------------
+
+_KERNEL_BASES = ALL_BASES + [BaseLoss.quartic_linear(a=0.7, offset=0.3)]
+_KERNEL_TAUS = [0.05, 0.5, 1.0, 5.0]
+
+
+def _public_pair(base, side, tau):
+    """A margin loss and its value and derivative through the public checked functions."""
+    if side == "plain":
+        return (
+            plain_margin_loss(base),
+            lambda u: base_value(base, -u),
+            lambda u: -base_derivative(base, -u),
+        )
+    spec = LinearCoreSpec(base, side=side, tau=tau)
+    return linear_core_margin_loss(spec), partial(lc_value, spec), partial(lc_derivative, spec)
+
+
+def _result(fn):
+    try:
+        return np.asarray(fn())
+    except EvaluationOverflowError:
+        return EvaluationOverflowError
+
+
+@given(
+    base=st.sampled_from(_KERNEL_BASES),
+    side=st.sampled_from([SYMMETRIC, ONE_SIDED, "plain"]),
+    tau=st.sampled_from(_KERNEL_TAUS),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_margin_loss_kernel_matches_the_public_functions_bitwise(base, side, tau, data):
+    """``loss.kernel(arr, k)`` gives the bits of ``lc_value``/``lc_derivative``
+    (or ``Phi(-u)``/``-Phi'(-u)`` for a plain loss), as do the checked
+    ``loss.value``/``loss.derivative``, and all raise
+    ``EvaluationOverflowError`` on the same exponential inputs."""
+    loss, value, derivative = _public_pair(base, side, tau)
+    special = [tau, -tau, 0.0, -0.0, 700.0, -700.0, np.nextafter(700.0, 701.0), -700.5]
+    point = st.one_of(st.sampled_from(special), st.floats(-700.0, 700.0))
+    u = np.array(data.draw(st.lists(point, min_size=1, max_size=12)))
+    before = u.tobytes()
+    for order, (public, checked) in enumerate(((value, loss.value), (derivative, loss.derivative))):
+        want = _result(lambda: public(u))
+        for got in (_result(lambda: loss.kernel(u, order)), _result(lambda: checked(u))):
+            if want is EvaluationOverflowError:
+                assert got is EvaluationOverflowError
+            else:
+                assert got is not EvaluationOverflowError
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        if want is not EvaluationOverflowError:
+            first = checked(float(u[0]))
+            assert type(first) is float and np.float64(first).tobytes() == want[:1].tobytes()
+    assert u.tobytes() == before
+
+
+@pytest.mark.parametrize("side", [SYMMETRIC, "plain"])
+def test_margin_loss_checked_wrappers_reject_non_finite_input(side):
+    loss, _, _ = _public_pair(BaseLoss.exponential(), side, 1.0)
+    for bad in (math.nan, math.inf, [0.0, -math.inf]):
+        with pytest.raises(DomainError):
+            loss.value(bad)
+        with pytest.raises(DomainError):
+            loss.derivative(bad)

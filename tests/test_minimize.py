@@ -1,5 +1,7 @@
 """Batched golden-section minimizer: brackets, stalls, and accuracy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,28 +197,37 @@ def _reference_minimize(value, derivative, lo, hi, expand=True, states=None):
 
 
 def _reference_infimum(loss, w_pos, w_neg, expand=True):
-    """``weighted_margin_infimum`` with one loss call per side and evaluation."""
+    """``weighted_margin_infimum`` with one loss call per side and evaluation.
+
+    A weighted value or slope that overflows is ``+-inf``, computed without a
+    warning; an infimum that is not finite raises ``EvaluationOverflowError``.
+    """
     w_pos, w_neg = np.broadcast_arrays(np.atleast_1d(w_pos), np.atleast_1d(w_neg))
     pos, neg = w_pos > 0.0, w_neg > 0.0
 
     def g(u):
         out = np.zeros_like(u)
-        if np.any(pos):
-            out[pos] = w_pos[pos] * np.asarray(loss.value(u[pos]), dtype=np.float64)
-        if np.any(neg):
-            out[neg] += w_neg[neg] * np.asarray(loss.value(-u[neg]), dtype=np.float64)
+        with np.errstate(over="ignore"):
+            if np.any(pos):
+                out[pos] = w_pos[pos] * np.asarray(loss.value(u[pos]), dtype=np.float64)
+            if np.any(neg):
+                out[neg] += w_neg[neg] * np.asarray(loss.value(-u[neg]), dtype=np.float64)
         return out
 
     def g_prime(u):
         out = np.zeros_like(u)
-        if np.any(pos):
-            out[pos] = w_pos[pos] * np.asarray(loss.derivative(u[pos]), dtype=np.float64)
-        if np.any(neg):
-            out[neg] -= w_neg[neg] * np.asarray(loss.derivative(-u[neg]), dtype=np.float64)
+        with np.errstate(over="ignore"):
+            if np.any(pos):
+                out[pos] = w_pos[pos] * np.asarray(loss.derivative(u[pos]), dtype=np.float64)
+            if np.any(neg):
+                out[neg] -= w_neg[neg] * np.asarray(loss.derivative(-u[neg]), dtype=np.float64)
         return out
 
     half = np.full(w_pos.shape, loss.bracket_halfwidth)
-    return g, g_prime, _reference_minimize(g, g_prime, -half, half, expand=expand)
+    result = _reference_minimize(g, g_prime, -half, half, expand=expand)
+    if not np.isfinite(result[1]).all():
+        raise EvaluationOverflowError("the infimum is not finite")
+    return g, g_prime, result
 
 
 def _margin_loss(kind, side, tau):
@@ -343,3 +354,35 @@ def test_errors_raised_for_the_same_inputs(case, error):
         reference()
     with pytest.raises(error):
         run()
+
+
+def test_an_overflowing_edge_is_uphill_and_the_infimum_exact():
+    """Expanding the bracket of ``1e299*phi(u) + 1e256*phi(-u)`` (exponential
+    base, tau 5) reaches an edge whose weighted value overflows to +inf.  That
+    edge is uphill: no warning, and the infimum is the closed form
+    ``2*sqrt(w_pos*w_neg) + 2*tau*w_neg`` at ``tau + ln(w_pos/w_neg)/2``."""
+    loss = _margin_loss("exponential", "symmetric", 5.0)
+    w_pos, w_neg = 1e299, 1e256
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = weighted_margin_infimum(loss, w_pos, w_neg)
+        reference = _reference_infimum(loss, w_pos, w_neg)[2]
+    want = 2.0 * np.sqrt(w_pos) * np.sqrt(w_neg) + 10.0 * w_neg
+    assert result.value[0] == pytest.approx(want, rel=1e-12)
+    assert result.argmin[0] == pytest.approx(5.0 + np.log(w_pos / w_neg) / 2.0, abs=1e-5)
+    assert not result.at_edge[0]
+    for have, expect in zip((result.argmin, result.value, result.at_edge), reference):
+        assert np.array_equal(have, expect)
+
+
+def test_an_infimum_that_overflows_raises():
+    """Weights of 1e300 on a surrogate whose values are near 1e10 overflow at
+    every point: ``EvaluationOverflowError``, not an infinite infimum."""
+    spec = LinearCoreSpec(BaseLoss.quartic_linear(offset=1e10))
+    loss = linear_core_margin_loss(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflowError, match=r"indices \[1\]"):
+            weighted_margin_infimum(loss, [1.0, 1e300], [1.0, 1e300])
+        with pytest.raises(EvaluationOverflowError):
+            _reference_infimum(loss, [1.0, 1e300], [1.0, 1e300])

@@ -22,6 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lincore
+import lincore.losses
 import lincore.minimize
 import lincore.trainers
 from lincore import ChainModel, PairProposal, TrainConfig
@@ -160,3 +162,32 @@ def test_a_ksample_step_scores_and_differentiates_once(monkeypatch):
             rng = stream_rng(seed, DOMAIN_TRAIN_SAMPLE, 1)
             lincore.trainers.sgd_step(model, x, y, config, proposal, rng)
             assert calls == {"lc_derivative": 1, "_chain_scores": 1}
+
+
+def test_a_margin_infimum_calls_no_public_loss_function(monkeypatch):
+    """``weighted_margin_infimum`` evaluates through ``loss.kernel``, so the
+    traced ``losses.lc_value`` and ``losses.lc_derivative`` (and the base
+    functions) see no call from it, in any namespace the tracer patches.  The
+    regret oracle's realized values still go through ``lc_value``."""
+    names = ("lc_value", "lc_derivative", "base_value", "base_derivative")
+    calls = dict.fromkeys(names, 0)
+    layers = _load_tracing().LAYERS
+    for namespace in [lincore, *(importlib.import_module(f"lincore.{layer}") for layer in layers)]:
+        for name in names:
+            if hasattr(namespace, name):
+                original = getattr(lincore.losses, name)
+
+                def counting(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(namespace, name, counting)
+    base = lincore.BaseLoss.exponential()
+    spec = lincore.LinearCoreSpec(base, tau=0.5)
+    for loss in (lincore.linear_core_margin_loss(spec), lincore.plain_margin_loss(base)):
+        result = lincore.weighted_margin_infimum(loss, [0.7, 0.0, 1e-3], [0.3, 2.0, 0.0])
+        assert np.isfinite(result.value).all()
+        lincore.transformation_T(loss, [0.0, 0.5, 1.0])
+    assert calls == dict.fromkeys(names, 0)
+    lincore.mc_conditional_regrets(spec, np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0, -1.0]))
+    assert calls["lc_value"] > 0
