@@ -58,7 +58,6 @@ from .consistency import (
     weighted_margin_infimum,
 )
 from .multiclass import (
-    argmax_label,
     ce_gradient,
     ce_loss,
     gce_gradient,

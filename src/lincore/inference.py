@@ -26,10 +26,13 @@ any scale but pays an ``exp`` per edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .multiclass import _row_starts
 from .structured import (
+    _CACHE_ELEMENTS,
     ChainModel,
     _chain_scores,
     _check_instance,
@@ -50,35 +53,72 @@ def _unary_table(model: ChainModel, x: np.ndarray) -> np.ndarray:
     return x @ model.unary.T  # (L, Y)
 
 
+@lru_cache(maxsize=16)
+def _viterbi_tiles(count: int, n: int) -> tuple:
+    """Cache-sized tiles ``(i0, i1, t0, t1)`` of the flat ``(instance, to)``
+    candidate rows: instances ``i0:i1``, each over its ``to`` rows ``t0:t1``.
+    A tile holds whole instances while one ``Y x Y`` block fits
+    ``_CACHE_ELEMENTS``, otherwise a run of one instance's rows."""
+    group = _CACHE_ELEMENTS // (n * n)
+    if group:
+        return tuple((i, min(i + group, count), 0, n) for i in range(0, count, group))
+    width = max(1, _CACHE_ELEMENTS // n)
+    return tuple((i, i + 1, t, min(t + width, n)) for i in range(count) for t in range(0, n, width))
+
+
 def _viterbi(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one Viterbi recursion: best paths ``(N, L)`` and scores ``(N,)``
     of ``(N, L, Y)`` unary tables under one ``(Y, Y)`` transition matrix.
 
-    Candidates ``dp[from] + T[from, to]`` are laid out as ``(instance, to,
-    from)``, so each argmax (ties to the first index) runs along a
-    contiguous row; the chosen value and the backtrack's pointers come back
-    with flat takes.  A row decodes the same bits alone or in any batch.
-    Callers validate first.
+    Candidates ``dp[from] + T[from, to]`` are laid out as flat ``(instance,
+    to)`` rows over ``from``, so each argmax (ties to the first index) runs
+    along a contiguous row; the chosen value and the backtrack's pointers
+    come back with flat takes.  Each position runs over the tiles of
+    :func:`_viterbi_tiles`, so a candidate block never outgrows the cache
+    budget shared with the exact sum loss; the chosen values go to a second
+    buffer, and the unary term is added once the last tile is done.  A tile
+    only regroups whole rows, so no addition and no tie-break moves, and a
+    row decodes the same bits alone or in any batch.  Callers validate first.
     """
     count, length, n = unary.shape
+    bounds = _viterbi_tiles(count, n)
+    i0, i1, t0, t1 = bounds[0]  # the largest tile
     to_from = np.ascontiguousarray(transition.T)
-    cand = np.empty((count, n, n))  # (instance, to, from)
-    rows = cand.reshape(count * n, n)
-    row_starts = np.arange(0, count * n * n, n)
-    chosen = np.empty(count * n, dtype=np.int64)
+    cand = np.empty((i1 - i0, t1 - t0, n))  # (instance, to, from)
+    rows = cand.reshape(-1, n)
+    chosen = np.empty(rows.shape[0], dtype=np.int64)
     back = np.empty((length, count * n), dtype=np.int64)
     dp = unary[:, 0].copy()
-    dp_flat, dp_from = dp.reshape(-1), dp[:, None, :]
-    for j, pred in enumerate(back[1:], start=1):
-        np.add(dp_from, to_from, out=cand)
-        rows.argmax(axis=1, out=pred)
-        np.add(pred, row_starts, out=chosen)
-        rows.take(chosen, out=dp_flat, mode="clip")  # in range; "raise" would buffer
-        dp += unary[:, j]
-    starts = row_starts[:count]  # each instance's first entry in dp and back rows
+    picked = np.empty((count, n))  # the chosen candidates, before the unary term
+    flat = picked.reshape(-1)
+    if len(bounds) == 1:  # the whole arrays: small calls pay for no views
+        tiles = [(dp[:, None, :], to_from, cand, rows, back, _row_starts(rows.shape), chosen, flat)]
+    else:
+        tiles = []
+        for i0, i1, t0, t1 in bounds:
+            size, first = (i1 - i0) * (t1 - t0), i0 * n + t0
+            tiles.append((
+                dp[i0:i1, None, :],
+                to_from[t0:t1],
+                rows[:size].reshape(i1 - i0, t1 - t0, n),
+                rows[:size],
+                back[:, first : first + size],
+                _row_starts((size, n)),
+                chosen[:size],
+                flat[first : first + size],
+            ))
+    for j in range(1, length):
+        for dp_from, to_rows, tile, tile_rows, pointers, starts, cells, values in tiles:
+            pred = pointers[j]
+            np.add(dp_from, to_rows, out=tile)
+            tile_rows.argmax(axis=1, out=pred)
+            np.add(pred, starts, out=cells)
+            tile_rows.take(cells, out=values, mode="clip")  # in range; "raise" would buffer
+        np.add(picked, unary[:, j], out=dp)
+    starts = _row_starts((count, n))  # each instance's first entry in dp and back rows
     best = np.empty((length, count), dtype=np.int64)
     dp.argmax(axis=1, out=best[-1])
-    scores = dp_flat.take(starts + best[-1])
+    scores = dp.reshape(-1).take(starts + best[-1])
     for j in range(length - 1, 0, -1):
         back[j].take(starts + best[j], out=best[j - 1], mode="clip")
     return best.T, scores

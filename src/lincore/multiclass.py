@@ -38,6 +38,10 @@ def _check_scores(scores, what: str = "scores") -> np.ndarray:
         raise DomainError(f"{what} must be (C,) or (B, C) with at least 2 classes")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
+    with np.errstate(over="ignore"):  # an overflow is caught below, not warned
+        spread = arr.max(axis=-1) - arr.min(axis=-1)
+    if not np.all(np.isfinite(spread)):
+        raise DomainError(f"{what} must have finite differences: max - min overflows")
     return arr
 
 
@@ -98,12 +102,6 @@ def _batched(kernel, scores, y, *args):
         return kernel(scores, labels, *args)
     out = kernel(scores[None], labels[None], *args)
     return out[0] if out.ndim == 2 else float(out[0])
-
-
-def argmax_label(scores):
-    """Deterministic decoder: ties break to the lowest label index."""
-    labels = np.argmax(_check_scores(scores), axis=-1)
-    return int(labels) if labels.ndim == 0 else labels
 
 
 def _sum_loss(scores, labels, spec):

@@ -408,13 +408,22 @@ def test_criterion_11_variance_bound():
 
 
 def test_criterion_12_scaling_shape():
-    """SSVM pays the quadratic label cost; the pair sampler does not."""
+    """SSVM pays the quadratic label cost; the pair sampler does not.
+
+    The pair sampler's step is flat in Y and short, so one 220-step block
+    times in about 13 ms, and such blocks time bimodally on a shared
+    machine: two blocks of the same step can land 1.8x apart.  Its ratio is
+    therefore the median over 7 rounds that each time both sizes afresh; a
+    stall moves one round's ratio, not the verdict.
+    """
     start = time.perf_counter()
     result = run_scaling()
+    rounds = [run_scaling({"methods": ["lincore"], "label_sizes": [100, 400]}) for _ in range(7)]
     elapsed = time.perf_counter() - start
     per = {(row.method, row.n_labels): row.seconds_per_batch for row in result.rows}
+    flat = [large.seconds_per_batch / small.seconds_per_batch for small, large in (r.rows for r in rounds)]
     assert per[("ssvm", 400)] / per[("ssvm", 100)] >= 4.0
-    assert per[("lincore", 400)] / per[("lincore", 100)] <= 2.0
+    assert np.median(flat) <= 2.0, f"lincore 400/100 per round: {np.round(flat, 2)}"
     assert per[("ssvm", 400)] / per[("lincore", 400)] >= 5.0
     assert elapsed < 15 * 60
 

@@ -473,3 +473,56 @@ def test_batched_viterbi_matches_single_decodes_including_ties():
     flat_paths, flat_scores = inference._viterbi(np.zeros((3, 4, 5)), np.zeros((5, 5)))
     np.testing.assert_array_equal(flat_paths, np.zeros((3, 4), dtype=np.int64))
     np.testing.assert_array_equal(flat_scores, np.zeros(3))
+
+
+def _potentials(rng, kind, shape):
+    if kind == "gaussian":
+        return rng.normal(size=shape)
+    if kind == "ties":  # small integers: many exactly tied candidates
+        return rng.integers(-1, 2, size=shape).astype(float)
+    return np.full(shape, -0.0)  # every score a signed zero
+
+
+def _assert_same_decode(got, want):
+    (got_path, got), (want_path, want) = got, want
+    np.testing.assert_array_equal(got_path, want_path)
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "ties", "zeros"])
+def test_tiled_viterbi_matches_the_allocating_reference(kind):
+    """Sizes whose candidate blocks outgrow the cache budget: one instance
+    split into runs of ``to`` rows that do not divide Y, and batches split
+    into instance groups with a partial last group.  Every path and score
+    keeps the reference's bits, alone and in a batch."""
+    rng = np.random.default_rng(43)
+    for n in (182, 257, 400):
+        assert len(inference._viterbi_tiles(1, n)) > 1
+        for length in range(1, 7):
+            transition = _potentials(rng, kind, (n, n))
+            unary = _potentials(rng, kind, (length, n))
+            paths, scores = inference._viterbi(unary[None], transition)
+            _assert_same_decode((paths[0], scores[0]), _allocating_viterbi(unary, transition))
+
+            model = ChainModel(_potentials(rng, kind, (n, 2)), transition)
+            x = _potentials(rng, kind, (length, 2))
+            y = rng.integers(0, n, size=length)
+            unary = x @ model.unary.T
+            augmented = unary + 1.0 / length
+            augmented[np.arange(length), y] -= 1.0 / length
+            _assert_same_decode(viterbi(model, x), _allocating_viterbi(unary, transition))
+            _assert_same_decode(
+                loss_augmented_viterbi(model, x, y), _allocating_viterbi(augmented, transition)
+            )
+    n = 100
+    for count in (3, 4, 8):
+        for length in range(1, 7):
+            transition = _potentials(rng, kind, (n, n))
+            unary = _potentials(rng, kind, (count, length, n))
+            paths, scores = inference._viterbi(unary, transition)
+            for k in range(count):
+                want = _allocating_viterbi(unary[k], transition)
+                alone_paths, alone_scores = inference._viterbi(unary[k : k + 1], transition)
+                _assert_same_decode((paths[k], scores[k]), want)
+                _assert_same_decode((alone_paths[0], alone_scores[0]), want)
+    assert len(inference._viterbi_tiles(8, n)) > 1

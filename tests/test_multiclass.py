@@ -1,6 +1,7 @@
 """Multi-class sum losses, softmax baselines, and the regret oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ class TestSumLoss:
             mc_sum_loss(EXP_SYM, np.zeros(3), 3)
         with pytest.raises(DomainError):
             mc_sum_loss(EXP_SYM, np.array([0.0, float("inf")]), 0)
+
+    def test_scores_whose_differences_overflow_are_rejected(self):
+        """Finite scores 1e308 and -1e308 are 2e308 apart: each function used
+        to overflow inside, warning and then returning infinities or failing
+        with a message about its own input."""
+        spec = LinearCoreSpec(BaseLoss.quartic_linear())
+        scores, p = np.array([1e308, -1e308]), np.array([0.5, 0.5])
+        calls = (
+            lambda: mc_sum_loss(spec, scores, 0),
+            lambda: mc_sum_loss(spec, scores[None], [0]),
+            lambda: mc_sum_loss_gradient(spec, scores, 0),
+            lambda: mc_sum_loss_gradient(spec, scores[None], [0]),
+            lambda: mc_conditional_regrets(spec, p, scores),
+            lambda: mc_conditional_regrets(spec, p[None], scores[None]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError, match="finite differences"):
+                    call()
 
 
 class TestConditionalRegrets:
