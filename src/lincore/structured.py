@@ -93,14 +93,20 @@ def weights_to_model(weights: np.ndarray, n_labels: int, dim: int) -> ChainModel
     return ChainModel(unary.copy(), transition.copy())
 
 
-def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+def _check_inputs(x) -> np.ndarray:
+    """``x`` as a finite float ``(length, dim)`` matrix with ``length >= 1``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DomainError("inputs must be a (length, dim) matrix with length >= 1")
-    if x.shape[1] != model.dim:
-        raise DomainError(f"input dim {x.shape[1]} does not match model dim {model.dim}")
     if not np.isfinite(x).all():
         raise DomainError("inputs must be finite")
+    return x
+
+
+def _check_instance(model: ChainModel, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+    x = _check_inputs(x)
+    if x.shape[1] != model.dim:
+        raise DomainError(f"input dim {x.shape[1]} does not match model dim {model.dim}")
     if y is None:
         return x, None
     y = _check_labels(y, model.n_labels)
@@ -351,18 +357,7 @@ def structured_sum_loss_gradient_exact(spec: LinearCoreSpec, model: ChainModel, 
         w_rows = weights[start:stop, None] * slopes
         alpha[start:stop] += w_rows.sum(axis=1)
         alpha -= w_rows.sum(axis=0)
-
-    grad_unary = np.zeros((n, x.shape[1]))
-    length = x.shape[0]
-    for j in range(length):
-        coeff = np.zeros(n)
-        np.add.at(coeff, seqs[:, j], alpha)
-        grad_unary += coeff[:, None] * x[j][None, :]
-    grad_transition = np.zeros((n, n))
-    if length > 1:
-        for j in range(length - 1):
-            np.add.at(grad_transition, (seqs[:, j], seqs[:, j + 1]), alpha)
-    return np.concatenate([grad_unary.ravel(), grad_transition.ravel()])
+    return _feature_delta(n, x, seqs, alpha).dense()
 
 
 def validate_loss_matrix(ell) -> np.ndarray:
@@ -408,7 +403,7 @@ def feature_radius_exact(xs, n_labels: int) -> float:
     """Largest joint-feature norm over all inputs and all label sequences."""
     best = 0.0
     for x in xs:
-        x = np.asarray(x, dtype=np.float64)
+        x = _check_inputs(x)
         seqs = enumerate_sequences(n_labels, x.shape[0])
         for seq in seqs:
             best = max(best, float(np.linalg.norm(joint_feature(n_labels, x, seq))))
@@ -424,8 +419,7 @@ def feature_radius_bound(xs, n_labels: int) -> float:
     """
     best = 0.0
     for x in xs:
-        x = np.asarray(x, dtype=np.float64)
+        x = _check_inputs(x)
         unary_bound = float(np.sum(np.linalg.norm(x, axis=1)))
-        trans_bound = float(max(x.shape[0] - 1, 0))
-        best = max(best, float(np.hypot(unary_bound, trans_bound)))
+        best = max(best, float(np.hypot(unary_bound, x.shape[0] - 1)))
     return best

@@ -58,11 +58,8 @@ from .structured import (
     _chain_scores,
     _check_instance,
     _feature_delta,
-    all_sequence_scores,
     enumerate_sequences,
     feature_difference,
-    hamming_loss,
-    joint_feature,
     structured_sum_loss_exact,
 )
 
@@ -114,8 +111,11 @@ class GradEstimate:
 
 def corruption_probability(y: np.ndarray, y_prime: np.ndarray, n_labels: int, rate: float) -> float:
     """Exact outer-proposal probability of drawing ``y_prime`` from ``y``."""
-    diff = int(np.sum(np.asarray(y) != np.asarray(y_prime)))
-    return _corruption_probability(diff, len(y), n_labels, rate)
+    y, y_prime = np.asarray(y), np.asarray(y_prime)
+    if y.shape != y_prime.shape or y.ndim != 1 or y.size < 1:
+        raise DomainError("sequences must be 1-D and of equal length")
+    PairProposal(rate)  # the one corruption-rate rule
+    return _corruption_probability(int(np.count_nonzero(y != y_prime)), y.size, n_labels, rate)
 
 
 def _corruption_probability(diff: int, length: int, n_labels: int, rate: float) -> float:
@@ -208,8 +208,7 @@ def lc_pair_gradient_estimate(
     """One importance-weighted pair sample of the structured-loss gradient."""
     x, y = _check_instance(model, x, y)
     outer, inner, w1, w2, coeff = _sample_pair(model, x, y, spec, proposal, rng)
-    n = model.n_labels
-    gradient = coeff * (joint_feature(n, x, outer) - joint_feature(n, x, inner))
+    gradient = coeff * feature_difference(model.n_labels, x, outer, inner).dense()
     return GradEstimate(gradient=gradient, w1=float(w1), w2=float(w2), outer=outer, inner=inner)
 
 
@@ -223,19 +222,20 @@ def exact_pair_estimator_expectation(
     """Expectation of the pair estimator by exhaustive sample-space enumeration.
 
     Every (outer, inner) pair in the proposal support is weighted by its
-    exact probability; the result is what unbiasedness compares against the
-    exact restricted-loss gradient.
+    exact probability and becomes coefficients on the two enumerated
+    sequences; the result is what unbiasedness compares against the exact
+    restricted-loss gradient.
     """
     x, y = _check_instance(model, x, y)
     n = model.n_labels
     length = y.size
     seqs = enumerate_sequences(n, length)
-    feats = np.stack([joint_feature(n, x, seq) for seq in seqs])
-    scores = all_sequence_scores(model, x, seqs)
-    expectation = np.zeros(feats.shape[1])
+    scores = _chain_scores(model, x, seqs)
+    alpha = np.zeros(len(seqs))
     for i, outer in enumerate(seqs):
-        d1 = corruption_probability(y, outer, n, proposal.corruption_rate)
-        w1 = (1.0 - hamming_loss(outer, y)) / d1
+        diff = int(np.count_nonzero(outer != y))
+        d1 = _corruption_probability(diff, length, n, proposal.corruption_rate)
+        w1 = (1.0 - diff / length) / d1
         if proposal.inner == NEIGHBOR:
             inner = np.count_nonzero(seqs != outer, axis=1) == 1
             d2 = neighbor_probability(length, n)
@@ -243,8 +243,9 @@ def exact_pair_estimator_expectation(
             inner = np.arange(len(seqs)) != i
             d2 = uniform_full_probability(length, n)
         coeff = d1 * d2 * w1 * (1.0 / d2) * lc_derivative(spec, scores[i] - scores[inner])
-        expectation += coeff @ (feats[i] - feats[inner])
-    return expectation
+        alpha[i] += coeff.sum()
+        alpha[inner] -= coeff
+    return _feature_delta(n, x, seqs, alpha).dense()
 
 
 def lc_ksample_gradient_estimate(

@@ -15,6 +15,8 @@ from lincore import (
     SequenceData,
     TrainConfig,
     enumerate_sequences,
+    feature_radius_bound,
+    feature_radius_exact,
     joint_feature,
     sgd_train,
     weighted_margin_infimum,
@@ -23,6 +25,7 @@ from lincore import (
 from lincore.experiments import run_train_seq
 from lincore.multiclass import conditional_surrogate_regret
 from lincore.structured import validate_loss_matrix
+from lincore.trainers import corruption_probability
 
 TINY_TRAIN_SEQ = {"n_train": 2, "n_test": 1, "iterations": 1}
 
@@ -51,6 +54,36 @@ CASES = {
         DomainError,
         "matching label",
         lambda: joint_feature(2, np.zeros((3, 2)), [0, 1]),
+    ),
+    "radius_exact_non_finite": (
+        DomainError,
+        "finite",
+        lambda: feature_radius_exact([np.array([[np.nan, 1.0]])], 3),
+    ),
+    "radius_bound_non_finite": (
+        DomainError,
+        "finite",
+        lambda: feature_radius_bound([np.array([[np.nan, 1.0]])], 3),
+    ),
+    "radius_bound_1d_inputs": (
+        DomainError,
+        "(length, dim)",
+        lambda: feature_radius_bound([np.ones(3)], 3),
+    ),
+    "radius_bound_empty_inputs": (
+        DomainError,
+        "length >= 1",
+        lambda: feature_radius_bound([np.zeros((0, 2))], 3),
+    ),
+    "corruption_rate_above_one": (
+        DomainError,
+        "corruption rate",
+        lambda: corruption_probability([0, 1], [0, 0], 2, 1.5),
+    ),
+    "corruption_unequal_lengths": (
+        DomainError,
+        "equal length",
+        lambda: corruption_probability([0, 1], [0, 1, 0], 2, 0.3),
     ),
     "enumerate_one_label": (DomainError, "n_labels >= 2", lambda: enumerate_sequences(1, 3)),
     "loss_matrix_not_square": (

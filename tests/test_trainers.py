@@ -39,7 +39,7 @@ from lincore import (
     uniform_negative_gradient_exact,
     viterbi,
 )
-from lincore import inference, trainers
+from lincore import inference, structured, trainers
 from lincore.experiments import run_train_seq
 from lincore.rng import (
     DOMAIN_DIAGNOSTIC,
@@ -154,14 +154,19 @@ class TestPairEstimator:
             exact = structured_sum_loss_gradient_exact(ONE_LOG, model, x, y)
             np.testing.assert_allclose(expectation, exact, atol=1e-10)
 
-    def test_neighbor_expectation_matches_restricted_sum(self):
-        """The single-position proposal is unbiased for the Hamming-1 inner sum."""
+    @pytest.mark.parametrize("n, length", [(3, 3), (2, 1), (4, 2), (2, 5)])
+    def test_neighbor_expectation_matches_restricted_sum(self, n, length):
+        """The single-position proposal is unbiased for the Hamming-1 inner sum.
+
+        L = 1 has no transitions; at L >= 2 the Hamming-1 support is
+        strictly smaller than the Y^L - 1 competitors.
+        """
         rng = np.random.default_rng(3)
-        model = ChainModel(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
-        x = rng.normal(size=(3, 2))
-        y = rng.integers(0, 3, size=3)
-        seqs = enumerate_sequences(3, 3)
-        feats = np.stack([joint_feature(3, x, seq) for seq in seqs])
+        model = ChainModel(rng.normal(size=(n, 2)), rng.normal(size=(n, n)))
+        x = rng.normal(size=(length, 2))
+        y = rng.integers(0, n, size=length)
+        seqs = enumerate_sequences(n, length)
+        feats = np.stack([joint_feature(n, x, seq) for seq in seqs])
         scores = all_sequence_scores(model, x, seqs)
         restricted = np.zeros(feats.shape[1])
         for i, outer in enumerate(seqs):
@@ -175,6 +180,25 @@ class TestPairEstimator:
             model, x, y, ONE_LOG, PairProposal(0.3, NEIGHBOR)
         )
         np.testing.assert_allclose(expectation, restricted, atol=1e-10)
+
+    @pytest.mark.parametrize("inner", [NEIGHBOR, UNIFORM_FULL])
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    def test_estimate_has_the_bits_of_the_joint_feature_difference(self, n, inner):
+        """The dense estimate is ``coeff * (phi(outer) - phi(inner))`` bit for bit."""
+        rng = np.random.default_rng(n)
+        model = ChainModel(rng.normal(size=(n, 3)), rng.normal(size=(n, n)))
+        x = rng.normal(size=(4, 3))
+        y = rng.integers(0, n, size=4)
+        proposal = PairProposal(0.3, inner)
+        for i in range(200):
+            est = lc_pair_gradient_estimate(
+                model, x, y, ONE_LOG, proposal, stream_rng(14, DOMAIN_DIAGNOSTIC, i)
+            )
+            outer, competitor, _, _, coeff = trainers._sample_pair(
+                model, x, y, ONE_LOG, proposal, stream_rng(14, DOMAIN_DIAGNOSTIC, i)
+            )
+            want = coeff * (joint_feature(n, x, outer) - joint_feature(n, x, competitor))
+            assert est.gradient.tobytes() == want.tobytes()
 
     def test_monte_carlo_mean_approaches_expectation(self):
         rng = np.random.default_rng(4)
@@ -194,6 +218,38 @@ class TestPairEstimator:
         mean = draws.mean(axis=0)
         stderr = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(mean - target) <= 4 * stderr + 1e-9)
+
+
+def test_each_gradient_oracle_builds_its_features_once(monkeypatch):
+    """Every exact gradient is one ``_feature_delta`` over the enumerated
+    sequences, with no per-sequence ``joint_feature``."""
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    delta = spy("_feature_delta", structured._feature_delta)
+    for module in (structured, trainers):
+        monkeypatch.setattr(module, "_feature_delta", delta)
+    monkeypatch.setattr(structured, "joint_feature", spy("joint_feature", structured.joint_feature))
+    assert not hasattr(trainers, "joint_feature")
+    rng = np.random.default_rng(15)
+    model = ChainModel(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
+    x = rng.normal(size=(3, 2))
+    y = rng.integers(0, 3, size=3)
+    oracles = [
+        lambda: structured_sum_loss_gradient_exact(ONE_LOG, model, x, y),
+        lambda: uniform_negative_gradient_exact(ONE_LOG, model, x, y),
+        lambda: exact_pair_estimator_expectation(model, x, y, ONE_LOG, PairProposal(0.3)),
+    ]
+    for oracle in oracles:
+        calls.clear()
+        oracle()
+        assert calls == ["_feature_delta"]
 
 
 class _FixedSequenceRng:
