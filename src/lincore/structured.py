@@ -399,11 +399,18 @@ def structured_conditional_regrets(spec: LinearCoreSpec, p, scores, loss_matrix)
     return _unbatch(batched, regret_target, regret_surrogate)
 
 
+def _check_input_list(xs) -> list:
+    """Each of ``xs`` through :func:`_check_inputs`; an empty list has no radius."""
+    xs = [_check_inputs(x) for x in xs]
+    if not xs:
+        raise DomainError("need at least one input")
+    return xs
+
+
 def feature_radius_exact(xs, n_labels: int) -> float:
     """Largest joint-feature norm over all inputs and all label sequences."""
     best = 0.0
-    for x in xs:
-        x = _check_inputs(x)
+    for x in _check_input_list(xs):
         seqs = enumerate_sequences(n_labels, x.shape[0])
         for seq in seqs:
             best = max(best, float(np.linalg.norm(joint_feature(n_labels, x, seq))))
@@ -418,8 +425,7 @@ def feature_radius_bound(xs, n_labels: int) -> float:
     one cell.
     """
     best = 0.0
-    for x in xs:
-        x = _check_inputs(x)
+    for x in _check_input_list(xs):
         unary_bound = float(np.sum(np.linalg.norm(x, axis=1)))
         best = max(best, float(np.hypot(unary_bound, x.shape[0] - 1)))
     return best

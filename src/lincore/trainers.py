@@ -109,12 +109,19 @@ class GradEstimate:
     inner: np.ndarray
 
 
+def _check_label_count(n) -> None:
+    """The one label-count rule: an integer >= 2, not a bool, a float or a string."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise DomainError(f"n_labels must be an integer >= 2, got {n!r}")
+
+
 def corruption_probability(y: np.ndarray, y_prime: np.ndarray, n_labels: int, rate: float) -> float:
     """Exact outer-proposal probability of drawing ``y_prime`` from ``y``."""
     y, y_prime = np.asarray(y), np.asarray(y_prime)
     if y.shape != y_prime.shape or y.ndim != 1 or y.size < 1:
         raise DomainError("sequences must be 1-D and of equal length")
     PairProposal(rate)  # the one corruption-rate rule
+    _check_label_count(n_labels)
     return _corruption_probability(int(np.count_nonzero(y != y_prime)), y.size, n_labels, rate)
 
 
@@ -144,6 +151,7 @@ def sample_neighbor(y_prime: np.ndarray, n_labels: int, rng: np.random.Generator
 
 
 def neighbor_probability(length: int, n_labels: int) -> float:
+    _check_label_count(n_labels)
     return 1.0 / (length * (n_labels - 1))
 
 
@@ -157,6 +165,7 @@ def sample_uniform_full(y_prime: np.ndarray, n_labels: int, rng: np.random.Gener
 
 
 def uniform_full_probability(length: int, n_labels: int) -> float:
+    _check_label_count(n_labels)
     return 1.0 / float(n_labels**length - 1)
 
 
@@ -324,9 +333,7 @@ class SequenceData:
     n_labels: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
-        n = self.n_labels
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-            raise DomainError(f"n_labels must be an integer >= 2, got {n!r}")
+        _check_label_count(self.n_labels)
 
 
 @dataclass(frozen=True)

@@ -492,9 +492,10 @@ def _assert_same_decode(got, want):
 @pytest.mark.parametrize("kind", ["gaussian", "ties", "zeros"])
 def test_tiled_viterbi_matches_the_allocating_reference(kind):
     """Sizes whose candidate blocks outgrow the cache budget: one instance
-    split into runs of ``to`` rows that do not divide Y, and batches split
-    into instance groups with a partial last group.  Every path and score
-    keeps the reference's bits, alone and in a batch."""
+    split into runs of ``to`` rows that do not divide Y, batches split into
+    instance groups with a partial last group, and batches of 2 and 3
+    instances split into runs.  Every path and score keeps the reference's
+    bits, alone and in a batch."""
     rng = np.random.default_rng(43)
     for n in (182, 257, 400):
         assert len(inference._viterbi_tiles(1, n)) > 1
@@ -514,15 +515,29 @@ def test_tiled_viterbi_matches_the_allocating_reference(kind):
             _assert_same_decode(
                 loss_augmented_viterbi(model, x, y), _allocating_viterbi(augmented, transition)
             )
-    n = 100
-    for count in (3, 4, 8):
-        for length in range(1, 7):
-            transition = _potentials(rng, kind, (n, n))
-            unary = _potentials(rng, kind, (count, length, n))
-            paths, scores = inference._viterbi(unary, transition)
-            for k in range(count):
-                want = _allocating_viterbi(unary[k], transition)
-                alone_paths, alone_scores = inference._viterbi(unary[k : k + 1], transition)
-                _assert_same_decode((paths[k], scores[k]), want)
-                _assert_same_decode((alone_paths[0], alone_scores[0]), want)
-    assert len(inference._viterbi_tiles(8, n)) > 1
+    # Y = 100: instance groups.  Y = 257 and 400: runs of rows, where each
+    # instance refills the shared dp-row block before its first run.
+    for n, counts in ((100, (3, 4, 8)), (257, (2, 3)), (400, (2, 3))):
+        for count in counts:
+            for length in range(1, 7):
+                transition = _potentials(rng, kind, (n, n))
+                unary = _potentials(rng, kind, (count, length, n))
+                paths, scores = inference._viterbi(unary, transition)
+                for k in range(count):
+                    want = _allocating_viterbi(unary[k], transition)
+                    alone_paths, alone_scores = inference._viterbi(unary[k : k + 1], transition)
+                    _assert_same_decode((paths[k], scores[k]), want)
+                    _assert_same_decode((alone_paths[0], alone_scores[0]), want)
+    assert len(inference._viterbi_tiles(8, 100)) > 1
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (1, 400), (3, 5), (81, 400), (1, 81, 257)])
+def test_aligned_empty_gives_contiguous_float64_on_a_cache_line(shape):
+    held = []
+    for pad in range(1, 6):  # blocks kept alive land at different raw offsets
+        held.append(np.empty(pad))
+        got = inference._aligned_empty(shape)
+        held.append(got)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.ctypes.data % inference._CACHE_LINE == 0

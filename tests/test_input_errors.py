@@ -25,7 +25,11 @@ from lincore import (
 from lincore.experiments import run_train_seq
 from lincore.multiclass import conditional_surrogate_regret
 from lincore.structured import validate_loss_matrix
-from lincore.trainers import corruption_probability
+from lincore.trainers import (
+    corruption_probability,
+    neighbor_probability,
+    uniform_full_probability,
+)
 
 TINY_TRAIN_SEQ = {"n_train": 2, "n_test": 1, "iterations": 1}
 
@@ -85,6 +89,23 @@ CASES = {
         "equal length",
         lambda: corruption_probability([0, 1], [0, 1, 0], 2, 0.3),
     ),
+    "corruption_one_label": (
+        DomainError,
+        "n_labels must be an integer >= 2",
+        lambda: corruption_probability([0, 1], [0, 1], 1, 0.3),
+    ),
+    "neighbor_one_label": (
+        DomainError,
+        "n_labels must be an integer >= 2",
+        lambda: neighbor_probability(3, 1),
+    ),
+    "uniform_full_one_label": (
+        DomainError,
+        "n_labels must be an integer >= 2",
+        lambda: uniform_full_probability(3, 1),
+    ),
+    "radius_exact_no_inputs": (DomainError, "at least one input", lambda: feature_radius_exact([], 3)),
+    "radius_bound_no_inputs": (DomainError, "at least one input", lambda: feature_radius_bound([], 3)),
     "enumerate_one_label": (DomainError, "n_labels >= 2", lambda: enumerate_sequences(1, 3)),
     "loss_matrix_not_square": (
         DomainError,
