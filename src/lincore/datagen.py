@@ -45,6 +45,13 @@ def generate_hmm_data(spec: HmmSpec) -> SequenceData:
     A temperature of zero removes all chain structure: labels become
     i.i.d. uniform.
     """
+    return generate_hmm_split(spec, n_test=0)
+
+
+def generate_hmm_split(spec: HmmSpec, n_test: int) -> SequenceData:
+    """Train sequences from ``spec`` plus ``n_test`` test sequences drawn
+    after them, checked once as one :class:`SequenceData`."""
+    n_train, spec = spec.n_sequences, replace(spec, n_sequences=spec.n_sequences + n_test)
     rng = stream_rng(spec.seed, DOMAIN_HMM_DATA)
     logits = spec.transition_temperature * rng.normal(size=(spec.n_labels, spec.n_labels))
     kernel = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -65,17 +72,7 @@ def generate_hmm_data(spec: HmmSpec) -> SequenceData:
             labels[j] = cdf[labels[j - 1]].searchsorted(uniforms[j - 1], side="right")
         features = centers[labels] + rng.normal(size=(spec.length, spec.dim))
         instances.append((features, labels))
-    return SequenceData(train=instances, test=[], n_labels=spec.n_labels)
-
-
-def generate_hmm_split(spec: HmmSpec, n_test: int) -> SequenceData:
-    """Train sequences from ``spec`` plus ``n_test`` extra test sequences."""
-    full = generate_hmm_data(replace(spec, n_sequences=spec.n_sequences + n_test))
-    return SequenceData(
-        train=full.train[: spec.n_sequences],
-        test=full.train[spec.n_sequences :],
-        n_labels=spec.n_labels,
-    )
+    return SequenceData(train=instances[:n_train], test=instances[n_train:], n_labels=spec.n_labels)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ any scale but pays an ``exp`` per edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +34,7 @@ from .multiclass import _row_starts
 from .structured import (
     _CACHE_ELEMENTS,
     ChainModel,
+    _aligned_empty,
     _chain_scores,
     _check_instance,
     feature_difference,
@@ -43,10 +43,6 @@ from .structured import (
 # Potential range (nats) up to which the scaled recursion stays inside the
 # normal float64 range: exp(-600) / Y is normal for any Y below 1e40.
 _SCALED_RANGE_LIMIT = 600.0
-
-# Bytes per cache line.  A Viterbi add whose output starts off a line runs
-# about a third slower, and ``np.empty`` only promises 16 bytes.
-_CACHE_LINE = 64
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -69,15 +65,6 @@ def _viterbi_tiles(count: int, n: int) -> tuple:
         return tuple((i, min(i + group, count), 0, n) for i in range(0, count, group))
     width = max(1, _CACHE_ELEMENTS // n)
     return tuple((i, i + 1, t, min(t + width, n)) for i in range(count) for t in range(0, n, width))
-
-
-def _aligned_empty(shape: tuple) -> np.ndarray:
-    """Uninitialized C-contiguous float64 array of ``shape`` whose data
-    starts on a ``_CACHE_LINE``-byte boundary: one line over-allocated, then sliced."""
-    size = math.prod(shape)
-    raw = np.empty(size + _CACHE_LINE // 8)
-    start = -raw.ctypes.data % _CACHE_LINE // 8
-    return raw[start : start + size].reshape(shape)
 
 
 def _viterbi(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,6 +181,12 @@ class _ScaledChain:
     log_partition: float
 
 
+def _edge_block(length: int, n: int) -> np.ndarray | None:
+    """Out buffer of a CRF ``(Y, Y)`` block: aligned by :func:`_viterbi`'s
+    size rule, else ``None`` (numpy allocates; small calls skip an address)."""
+    return _aligned_empty((n, n)) if (length - 1) * n * n >= _CACHE_ELEMENTS else None
+
+
 def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple | None:
     """Forward half of the scaled recursion: ``(alpha, kernel, psi, scale,
     log_partition)``, or ``None`` when the potential range ``R`` is too wide
@@ -204,7 +197,7 @@ def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple | None:
     spread = (t_shift - transition.min()) + (u_shift - unary.min(axis=1)).max()
     if not spread <= _SCALED_RANGE_LIMIT:
         return None
-    kernel = np.subtract(transition, t_shift)
+    kernel = np.subtract(transition, t_shift, out=_edge_block(length, n))
     np.exp(kernel, out=kernel)
     psi = np.exp(unary - u_shift[:, None])
 
@@ -294,7 +287,8 @@ def _crf_gradient_blocks(model: ChainModel, x: np.ndarray, y: np.ndarray) -> tup
     observed one.  The expected transition counts ``sum_j alpha_j[a] E[a,
     b] W_j[b]``, with ``W_j = psi_{j+1} beta_{j+1} / c_{j+1}``, come from
     one matrix product scaled in place, so the per-edge posterior tensor is
-    never formed.  The observed unary block is summed as
+    never formed; large calls write it, like ``E``, to an aligned buffer.
+    The observed unary block is summed as
     :func:`joint_feature` sums it and each observed transition cell's count
     is subtracted once, so the blocks equal the dense ``expected -
     joint_feature(y)`` bit for bit.  Callers validate first.
@@ -307,7 +301,9 @@ def _crf_gradient_blocks(model: ChainModel, x: np.ndarray, y: np.ndarray) -> tup
         grad_transition = marg.transition_marginals.sum(axis=0)
     else:
         log_partition, unary_marginals = chain.log_partition, chain.alpha * chain.beta
-        grad_transition = chain.alpha[:-1].T @ chain.edge_weights
+        grad_transition = np.matmul(
+            chain.alpha[:-1].T, chain.edge_weights, out=_edge_block(*chain.alpha.shape)
+        )
         grad_transition *= chain.kernel
     nll = log_partition - _chain_scores(model, x, y[None])[0]
 

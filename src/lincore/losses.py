@@ -55,6 +55,15 @@ RIGHT = "right"
 # saturated.
 _EXP_INPUT_LIMIT = 700.0
 
+# Inputs of the quartic-linear base ``a v + v^4 / 12 + K`` beyond this
+# magnitude times ``min(a, 1) ** 0.25`` are rejected.  Up to it ``v^4 <= 1e308
+# min(a, 1)`` stays below the float64 maximum 1.8e308, and after ``/ a`` the
+# value adds at most 8.4e306 to ``K / a``, the slope ``v^3 / 3a`` at most
+# 1e231 a^(-1/4) and the curvature ``v^2 / a`` at most 1e154 a^(-1/2), for
+# any normal ``a`` up to 1e230.  A tail argument is smaller than ``|u|`` and
+# a tail lies beyond ``tau < |u|``, so ``+ 2 tau`` adds under 2e77.
+_QUARTIC_INPUT_LIMIT = 1e77
+
 _MIN_TAU = 1e-12
 
 
@@ -149,9 +158,16 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr[0]) if scalar else arr
 
 
+def _input_limit(base: BaseLoss) -> float:
+    """The largest ``|u|`` a surrogate of ``base`` evaluates without overflow."""
+    if base.kind == QUARTIC_LINEAR:
+        return _QUARTIC_INPUT_LIMIT * min(base.a, 1.0) ** 0.25
+    return _EXP_INPUT_LIMIT if base.kind == EXPONENTIAL else math.inf
+
+
 def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
     """Phi (``order`` 0), Phi' (1) or Phi'' (2) of a finite array, unchecked but
-    for the exponential input guard."""
+    for the exponential and quartic-linear input guards."""
     if base.kind == EXPONENTIAL:
         if arr.size and arr.max() > _EXP_INPUT_LIMIT:
             raise EvaluationOverflowError(f"exponential base overflow at u={np.max(arr):.3g}")
@@ -162,6 +178,8 @@ def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
             return np.maximum(arr, 0.0) + np.log1p(np.exp(-np.abs(arr)))
         s = expit(arr)
         return s if order == 1 else s * (1.0 - s)
+    if arr.size and np.abs(arr).max() > _input_limit(base):
+        raise EvaluationOverflowError(f"quartic-linear base overflow at |u|={np.abs(arr).max():.3g}")
     if order == 0:
         return base.a * arr + arr**4 / 12.0 + base.offset
     return base.a + arr**3 / 3.0 if order == 1 else arr**2
@@ -190,7 +208,7 @@ def base_second_derivative(base: BaseLoss, u):
 
 def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = None) -> np.ndarray:
     """Surrogate value (``order`` 0) or derivative (1, 2) of a finite array,
-    unchecked but for the exponential input guard on ``|u|``.
+    unchecked but for the exponential and quartic-linear guards on ``|u|``.
 
     The core is ``-u + tau + c0`` with slope -1 and curvature 0.  The tails
     are ``Phi^(order)(tau - u) / Phi'(0)`` on the right and
@@ -198,14 +216,15 @@ def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = No
     derivative and shifted by ``2*tau`` for the left value.  Knots take the
     core, except that ``knot`` (``LEFT`` or ``RIGHT``) gives the knot on
     that side to its tail.  The tails call ``_base`` through ``_tail``: once
-    ``|u| <= 700`` both tail arguments are below 700 (the right one is
-    ``tau - u < 0``, the left one ``-tau - u < |u|``), so the base guard
-    cannot trip there.
+    ``|u|`` is within its base's limit both tail arguments are too (the
+    right one is ``tau - u < 0``, the left one ``-tau - u < |u|``), so the
+    base guard cannot trip there.
     """
-    if spec.base.kind == EXPONENTIAL and arr.size and np.abs(arr).max() > _EXP_INPUT_LIMIT:
+    kind = spec.base.kind
+    if kind != LOGISTIC and arr.size and np.abs(arr).max() > _input_limit(spec.base):
         raise EvaluationOverflowError(
-            "exponential-tail surrogate overflow: |u| > "
-            f"{_EXP_INPUT_LIMIT:g} (got {np.max(np.abs(arr)):.3g})"
+            f"{kind}-tail surrogate overflow: |u| > "
+            f"{_input_limit(spec.base):g} (got {np.max(np.abs(arr)):.3g})"
         )
     tau = spec.tau
     if order == 0:
@@ -255,12 +274,12 @@ def lc_value(spec: LinearCoreSpec, u):
 def _accepted_float(spec: LinearCoreSpec, u) -> bool:
     """Whether ``u`` is a float the array path evaluates without raising.
 
-    That is a finite ``u`` that the exponential input guard accepts.
+    That is a finite ``u`` that the input guard of its base accepts.
     """
     return (
         isinstance(u, float)
         and math.isfinite(u)
-        and (spec.base.kind != EXPONENTIAL or abs(u) <= _EXP_INPUT_LIMIT)
+        and (spec.base.kind == LOGISTIC or abs(u) <= _input_limit(spec.base))
     )
 
 

@@ -57,6 +57,7 @@ from .structured import (
     FeatureDelta,
     _chain_scores,
     _check_instance,
+    _check_sequence,
     _feature_delta,
     enumerate_sequences,
     feature_difference,
@@ -326,14 +327,28 @@ def empirical_gradient_variance(
 @dataclass(frozen=True)
 class SequenceData:
     """Train/test splits of (inputs (L, d), labels (L,)) instances over
-    an alphabet of ``n_labels`` labels."""
+    an alphabet of ``n_labels`` labels, each instance checked once, here,
+    with one ``d`` across both splits (the pair samplers index weights by
+    label, so a -1 would wrap silently).  A split is a tuple of read-only
+    views, so nothing unchecked can be appended or written in."""
 
-    train: list
-    test: list = field(default_factory=list)
+    train: tuple
+    test: tuple = ()
     n_labels: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         _check_label_count(self.n_labels)
+        dim = None
+        for split in ("train", "test"):
+            checked = []
+            for x, y in getattr(self, split):
+                x, y = _check_sequence(self.n_labels, dim, x, y)
+                x, y = x.view(), y.view()
+                x.setflags(write=False)
+                y.setflags(write=False)
+                checked.append((x, y))
+                dim = x.shape[1]
+            object.__setattr__(self, split, tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -480,16 +495,10 @@ def sgd_train(data: SequenceData, config: TrainConfig) -> TrainResult:
     and estimator draws come from (seed, iteration, slot) streams; only the
     wall-clock column and ``step_seconds`` vary across reruns.
     """
-    if not data.train:
+    train, test = data.train, data.test  # checked when the data was built
+    if not train:
         raise DomainError("training set is empty")
-    x0 = np.asarray(data.train[0][0], dtype=np.float64)
-    if x0.ndim != 2:
-        raise DomainError("inputs must be (length, dim) matrices")
-    model = ChainModel.zeros(data.n_labels, x0.shape[1])
-    # Check every instance before the first step: the pair samplers index
-    # weights by label directly, so a label such as -1 would wrap silently.
-    train = [_check_instance(model, x, y) for x, y in data.train]
-    test = [_check_instance(model, x, y) for x, y in data.test]
+    model = ChainModel.zeros(data.n_labels, train[0][0].shape[1])
     proposal = PairProposal(config.corruption_rate, config.inner_proposal)
     eval_instances = train[: config.eval_max_instances]
 

@@ -19,7 +19,7 @@ from lincore import (
     viterbi,
     weights_to_model,
 )
-from lincore import inference
+from lincore import inference, structured
 from lincore.structured import all_sequence_scores, enumerate_sequences
 
 
@@ -536,8 +536,97 @@ def test_aligned_empty_gives_contiguous_float64_on_a_cache_line(shape):
     held = []
     for pad in range(1, 6):  # blocks kept alive land at different raw offsets
         held.append(np.empty(pad))
-        got = inference._aligned_empty(shape)
+        got = structured._aligned_empty(shape)
         held.append(got)
         assert got.shape == shape and got.dtype == np.float64
         assert got.flags.c_contiguous and got.flags.writeable
-        assert got.ctypes.data % inference._CACHE_LINE == 0
+        assert got.ctypes.data % structured._CACHE_LINE == 0
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (3, 20), (400, 20)])
+def test_zero_model_is_the_checked_zero_model_with_an_aligned_transition(n, dim):
+    got, want = ChainModel.zeros(n, dim), ChainModel(np.zeros((n, dim)), np.zeros((n, n)))
+    for a, b in ((got.unary, want.unary), (got.transition, want.transition)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous and a.flags.writeable
+    assert got.transition.ctypes.data % structured._CACHE_LINE == 0
+
+
+def _allocating_crf(model, x, y):
+    """The scaled CRF recursion as written before its ``(Y, Y)`` blocks were
+    aligned, every array allocated by numpy: ``(nll, grad_unary,
+    grad_transition, unary_marginals, transition_marginals, log Z)``."""
+    unary = x @ model.unary.T
+    transition = model.transition
+    length, n = unary.shape
+    t_shift = transition.max()
+    u_shift = unary.max(axis=1)
+    kernel = np.subtract(transition, t_shift)
+    np.exp(kernel, out=kernel)
+    psi = np.exp(unary - u_shift[:, None])
+    alpha = np.empty((length, n))
+    scale = np.empty(length)
+    alpha[0] = psi[0]
+    for j in range(length):
+        message = alpha[j]
+        if j:
+            np.dot(alpha[j - 1], kernel, out=message)
+            message *= psi[j]
+        scale[j] = message.sum()
+        message /= scale[j]
+    log_partition = float(np.log(scale).sum() + u_shift.sum() + (length - 1) * t_shift)
+    edge_weights = psi[1:] / scale[1:, None]
+    beta = np.empty_like(alpha)
+    beta[-1] = 1.0
+    for j in range(length - 2, -1, -1):
+        weights = edge_weights[j]
+        weights *= beta[j + 1]
+        np.dot(kernel, weights, out=beta[j])
+    edges = alpha[:-1, :, None] * kernel
+    edges *= edge_weights[:, None, :]
+    unary_marginals = alpha * beta
+    grad_transition = alpha[:-1].T @ edge_weights
+    grad_transition *= kernel
+    nll = float(log_partition - sequence_score(model, x, y))
+    grad_unary = unary_marginals.T @ x
+    observed = np.zeros_like(grad_unary)
+    np.add.at(observed, y, x)
+    grad_unary -= observed
+    src, dst = y[:-1], y[1:]
+    cells = src * n + dst
+    grad_transition[src, dst] -= (cells[:, None] == cells).sum(axis=1)
+    return nll, grad_unary, grad_transition, unary_marginals, edges, log_partition
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 50, 182, 400])
+@pytest.mark.parametrize("length", [1, 2, 20])
+def test_crf_fast_path_matches_the_allocating_reference(n, length):
+    """Aligned ``(Y, Y)`` blocks move no bit, and calls whose edges span a
+    cache budget of cells get them on a cache line."""
+    rng = np.random.default_rng([n, length])
+    aligned = (length - 1) * n * n >= structured._CACHE_ELEMENTS
+    for _ in range(3):
+        model = ChainModel(rng.normal(size=(n, 4)), rng.normal(size=(n, n)))
+        x = rng.normal(size=(length, 4))
+        y = rng.integers(0, n, size=length)
+        nll, grad_unary, grad_transition, unary_marginals, edges, log_z = _allocating_crf(model, x, y)
+        blocks = inference._crf_gradient_blocks(model, x, y)
+        for got, want in zip(blocks, (nll, grad_unary, grad_transition)):
+            _same_bits(got, want)
+        flat_nll, flat = crf_nll_and_gradient(model, x, y)
+        _same_bits(flat_nll, nll)
+        _same_bits(flat, np.concatenate([grad_unary.ravel(), grad_transition.ravel()]))
+        marg = forward_backward(model, x)
+        _same_bits(marg.unary_marginals, unary_marginals)
+        _same_bits(marg.transition_marginals, edges)
+        _same_bits(marg.log_partition, log_z)
+        _same_bits(inference._crf_nll(model, x, y), nll)
+        if aligned:
+            kernel = inference._scaled_forward(x @ model.unary.T, model.transition)[1]
+            for block in (kernel, blocks[2]):
+                assert block.ctypes.data % structured._CACHE_LINE == 0

@@ -1,6 +1,7 @@
 """Scalar base losses and linear-core surrogates: closed forms and smoothness."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -24,6 +25,8 @@ from lincore import (
     lc_derivative,
     lc_value,
     linear_core_margin_loss,
+    mc_sum_loss,
+    mc_sum_loss_gradient,
     plain_margin_loss,
 )
 
@@ -209,6 +212,41 @@ class TestGuards:
             spec = LinearCoreSpec(BaseLoss.logistic(), side=side)
             assert np.all(np.isfinite(fn(spec, make(-701.0))))
             assert np.all(np.isfinite(fn(spec, make(701.0))))
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name", PUBLIC)
+    @pytest.mark.parametrize("a", [1.0, 0.01])
+    def test_quartic_overflow_is_checked(self, name, form, a):
+        """Beyond ``1e77 * min(a, 1) ** 0.25`` a quartic-linear base and both
+        surrogates raise; up to it they are finite, without a warning."""
+        fn, make = PUBLIC[name], FORMS[form]
+        limit = 1e77 * min(a, 1.0) ** 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for side in (SYMMETRIC, ONE_SIDED):
+                spec = LinearCoreSpec(BaseLoss.quartic_linear(a=a), side=side)
+                beyond = np.nextafter(limit, np.inf)
+                for point in (beyond, -beyond, 1e200, -1e200):
+                    with pytest.raises(EvaluationOverflowError):
+                        fn(spec, make(point))
+                for point in (limit, -limit, 0.5):
+                    assert np.all(np.isfinite(fn(spec, make(point))))
+
+    def test_quartic_tail_overflow_raises_instead_of_warning(self):
+        """On [1e200, -1e200, 0.5] the quartic tail used to warn "overflow
+        encountered in power" and return inf."""
+        spec = LinearCoreSpec(BaseLoss.quartic_linear(), side=SYMMETRIC)
+        u = np.array([1e200, -1e200, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: lc_value(spec, u),
+                lambda: lc_derivative(spec, u),
+                lambda: mc_sum_loss(spec, u, 0),
+                lambda: mc_sum_loss_gradient(spec, u, 0),
+            ):
+                with pytest.raises(EvaluationOverflowError):
+                    call()
 
     def test_degenerate_width_rejected(self):
         with pytest.raises(DomainError):

@@ -49,7 +49,7 @@ from lincore.rng import (
     stream_keys,
     stream_rng,
 )
-from lincore.structured import _check_instance, all_sequence_scores, enumerate_sequences
+from lincore.structured import _check_sequence, all_sequence_scores, enumerate_sequences
 from lincore.trainers import (
     NEIGHBOR,
     UNIFORM_FULL,
@@ -659,20 +659,26 @@ def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch,
 
     monkeypatch.setattr(trainers, "sgd_step", no_step)
     data = tiny_data(n_labels=3)
-    bad = SequenceData(train=data.train + [_bad_instance(kind)], test=data.test, n_labels=3)
     with pytest.raises(DomainError):
+        bad = SequenceData(train=[*data.train, _bad_instance(kind)], test=data.test, n_labels=3)
         sgd_train(bad, TrainConfig(objective=objective, iterations=50))
 
 
-def test_evaluations_reuse_the_checked_instances(monkeypatch):
-    """Each train and test instance is validated once, however often the run evaluates."""
+def _count_checks(monkeypatch) -> list:
+    """Record each instance check :class:`SequenceData` makes."""
     checks = []
 
     def counting_check(*args, **kwargs):
         checks.append(args)
-        return _check_instance(*args, **kwargs)
+        return _check_sequence(*args, **kwargs)
 
-    monkeypatch.setattr(trainers, "_check_instance", counting_check)
+    monkeypatch.setattr(trainers, "_check_sequence", counting_check)
+    return checks
+
+
+def test_evaluations_reuse_the_checked_instances(monkeypatch):
+    """Each train and test instance is validated once, however often the run evaluates."""
+    checks = _count_checks(monkeypatch)
     data = tiny_data(seed=3, n_train=7, n_test=5, n_labels=3)
     result = sgd_train(data, TrainConfig(objective="lincore", iterations=20, eval_interval=4))
     assert len(result.history) == 6
@@ -681,8 +687,8 @@ def test_evaluations_reuse_the_checked_instances(monkeypatch):
 
 def test_float_labels_rejected_instead_of_truncated():
     """Float labels used to be cast to int64: [0.5, 1.7] trained as [0, 1]."""
-    data = SequenceData(train=[(np.zeros((2, 2)), np.array([0.5, 1.7]))], n_labels=2)
     with pytest.raises(DomainError, match="integers"):
+        data = SequenceData(train=[(np.zeros((2, 2)), np.array([0.5, 1.7]))], n_labels=2)
         sgd_train(data, TrainConfig(iterations=2))
     with pytest.raises(DomainError, match="integers"):
         loss_augmented_viterbi(ChainModel.zeros(3, 2), np.zeros((2, 2)), [0.7, 1.2])
@@ -701,12 +707,80 @@ def test_empty_label_sequence_rejected(split):
     """An empty sequence is rejected before the first step, in either split."""
     empty = (np.zeros((0, 2)), np.array([], dtype=np.int64))
     good = (np.zeros((2, 2)), np.array([0, 1]))
-    data = {
-        "train": SequenceData(train=[good, empty], test=[good], n_labels=2),
-        "test": SequenceData(train=[good], test=[empty], n_labels=2),
-    }[split]
+    splits = {"train": ([good, empty], [good]), "test": ([good], [empty])}[split]
     with pytest.raises(DomainError, match="length >= 1"):
+        data = SequenceData(*splits, n_labels=2)
         sgd_train(data, TrainConfig(iterations=2))
+
+
+_EDGE_CASES = ("nan", "inf", "negative_label", "label_too_large", "float_label",
+               "length_mismatch", "dim_mismatch", "empty_sequence")
+
+
+def _edge_case_instance(kind, n_labels, length, dim, rng):
+    """A ``(length, dim)`` instance over ``n_labels`` labels broken as ``kind`` says."""
+    x = rng.normal(size=(length, dim))
+    y = rng.integers(0, n_labels, size=length)
+    at = int(rng.integers(0, length))
+    if kind in ("nan", "inf"):
+        x[at, int(rng.integers(0, dim))] = np.nan if kind == "nan" else -np.inf
+    elif kind in ("negative_label", "label_too_large"):
+        y[at] = -1 if kind == "negative_label" else n_labels
+    elif kind == "float_label":
+        y = y.astype(float)
+    elif kind == "length_mismatch":
+        y = y[1:] if length > 1 else np.append(y, 0)
+    elif kind == "dim_mismatch":
+        x = rng.normal(size=(length, dim + 1))
+    else:
+        x, y = np.zeros((0, dim)), y[:0]
+    return x, y
+
+
+@given(
+    kind=st.sampled_from(_EDGE_CASES),
+    n_labels=st.integers(2, 6),
+    dim=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    n_test=st.integers(0, 3),
+    split=st.sampled_from(["train", "test"]),
+    where=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_sequence_data_rejects_every_malformed_instance(kind, n_labels, dim, sizes, n_test, split, where, seed):
+    """One broken instance anywhere in either split fails construction; the
+    same data without it builds."""
+    rng = np.random.default_rng(seed)
+    draw = lambda length: (rng.normal(size=(length, dim)), rng.integers(0, n_labels, size=length))
+    train = [draw(length) for length in sizes]
+    test = [draw(length) for length in sizes[:n_test]]
+    assert len(SequenceData(train, test, n_labels=n_labels).train) == len(sizes)
+    broken = train if split == "train" else test
+    broken.insert(where % (len(broken) + 1), _edge_case_instance(kind, n_labels, sizes[0], dim, rng))
+    with pytest.raises(DomainError):
+        SequenceData(train, test, n_labels=n_labels)
+
+
+def test_sequence_data_splits_are_read_only():
+    """Nothing can be written into or appended to the checked splits."""
+    data = tiny_data(n_labels=3)
+    x, y = data.train[0]
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        y[0] = -1
+    with pytest.raises(AttributeError):
+        data.train.append(_bad_instance("negative_label"))
+    with pytest.raises(TypeError):
+        data.test[0] = _bad_instance("non_finite")
+
+
+def test_generate_hmm_split_checks_each_instance_once(monkeypatch):
+    checks = _count_checks(monkeypatch)
+    data = generate_hmm_split(HmmSpec(length=4, n_labels=3, dim=2, n_sequences=6), n_test=3)
+    assert len(data.train) == 6 and len(data.test) == 3
+    assert len(checks) == 9
 
 
 @pytest.mark.parametrize("inner", [NEIGHBOR, UNIFORM_FULL])
@@ -782,7 +856,7 @@ def test_batched_evaluation_matches_single_calls(objective):
     or of per-instance CRF negative log-likelihoods."""
     data = tiny_data(seed=4, n_train=10, n_test=0, length=3, n_labels=3, dim=2)
     short = [(x[:2], y[:2]) for x, y in tiny_data(seed=5, n_train=5, n_test=0, n_labels=3, dim=2).train]
-    instances = [(np.asarray(x), np.asarray(y)) for x, y in data.train[:4] + short + data.train[4:]]
+    instances = [(np.asarray(x), np.asarray(y)) for x, y in [*data.train[:4], *short, *data.train[4:]]]
     rng = np.random.default_rng(6)
     model = ChainModel(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
     config = TrainConfig(objective=objective)
