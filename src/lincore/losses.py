@@ -60,8 +60,9 @@ _EXP_INPUT_LIMIT = 700.0
 # min(a, 1)`` stays below the float64 maximum 1.8e308, and after ``/ a`` the
 # value adds at most 8.4e306 to ``K / a``, the slope ``v^3 / 3a`` at most
 # 1e231 a^(-1/4) and the curvature ``v^2 / a`` at most 1e154 a^(-1/2), for
-# any normal ``a`` up to 1e230.  A tail argument is smaller than ``|u|`` and
-# a tail lies beyond ``tau < |u|``, so ``+ 2 tau`` adds under 2e77.
+# any normal ``a`` up to 1e230, the range ``BaseLoss`` accepts.  A tail
+# argument is smaller than ``|u|`` and a tail lies beyond ``tau < |u|``, so
+# ``+ 2 tau`` adds under 2e77.
 _QUARTIC_INPUT_LIMIT = 1e77
 
 _MIN_TAU = 1e-12
@@ -82,8 +83,9 @@ class BaseLoss:
     def __post_init__(self) -> None:
         if self.kind not in _BASE_KINDS:
             raise DomainError(f"unknown base loss kind: {self.kind!r}")
-        if self.kind == QUARTIC_LINEAR and not self.a > 0:
-            raise DomainError(f"quartic-linear slope must be positive, got {self.a}")
+        # The range ``_QUARTIC_INPUT_LIMIT`` is derived for: a normal float up to 1e230.
+        if self.kind == QUARTIC_LINEAR and not np.finfo(np.float64).tiny <= self.a <= 1e230:
+            raise DomainError(f"quartic-linear slope must lie in [2.2e-308, 1e230], got {self.a}")
 
     @classmethod
     def logistic(cls) -> "BaseLoss":

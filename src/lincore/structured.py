@@ -88,13 +88,10 @@ class ChainModel:
 
     @classmethod
     def zeros(cls, n_labels: int, dim: int) -> "ChainModel":
-        """The all-zero model, with a cache-line-aligned transition; zeros
-        cannot fail ``__post_init__``'s finite checks, so they are skipped."""
+        """The all-zero model, with a cache-line-aligned transition."""
         transition = _aligned_empty((n_labels, n_labels))
         transition.fill(0.0)
-        model = object.__new__(cls)
-        vars(model).update(unary=np.zeros((n_labels, dim)), transition=transition)
-        return model
+        return cls(np.zeros((n_labels, dim)), transition)
 
 
 def model_weights(model: ChainModel) -> np.ndarray:

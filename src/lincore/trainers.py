@@ -330,7 +330,8 @@ class SequenceData:
     an alphabet of ``n_labels`` labels, each instance checked once, here,
     with one ``d`` across both splits (the pair samplers index weights by
     label, so a -1 would wrap silently).  A split is a tuple of read-only
-    views, so nothing unchecked can be appended or written in."""
+    private copies, so nothing unchecked can be appended or written in,
+    neither through the split nor through the caller's arrays."""
 
     train: tuple
     test: tuple = ()
@@ -342,8 +343,7 @@ class SequenceData:
         for split in ("train", "test"):
             checked = []
             for x, y in getattr(self, split):
-                x, y = _check_sequence(self.n_labels, dim, x, y)
-                x, y = x.view(), y.view()
+                x, y = _check_sequence(self.n_labels, dim, np.array(x, dtype=np.float64), np.array(y))
                 x.setflags(write=False)
                 y.setflags(write=False)
                 checked.append((x, y))

@@ -122,6 +122,13 @@ CASES = {
         "both vanish",
         lambda: weighted_margin_infimum(BaseLoss.logistic(), 0.0, 0.0),
     ),
+    "quartic_slope_overflows_its_guard": (
+        DomainError,
+        "quartic-linear slope",
+        lambda: BaseLoss.quartic_linear(a=1e300),
+    ),
+    "quartic_slope_subnormal": (DomainError, "quartic-linear slope", lambda: BaseLoss.quartic_linear(a=5e-324)),
+    "quartic_slope_infinite": (DomainError, "quartic-linear slope", lambda: BaseLoss.quartic_linear(a=np.inf)),
     "idn_spec_one_class": (DomainError, "n_classes >= 2", lambda: IdnSpec(n_classes=1)),
     "surrogate_regret_shapes": (
         DomainError,

@@ -49,9 +49,10 @@ from lincore.rng import (
     stream_keys,
     stream_rng,
 )
-from lincore.structured import _check_sequence, all_sequence_scores, enumerate_sequences
+from lincore.structured import _check_instance, _check_sequence, all_sequence_scores, enumerate_sequences
 from lincore.trainers import (
     NEIGHBOR,
+    OBJECTIVES,
     UNIFORM_FULL,
     corruption_probability,
     neighbor_probability,
@@ -665,21 +666,28 @@ def test_malformed_training_instance_rejected_before_the_first_step(monkeypatch,
 
 
 def _count_checks(monkeypatch) -> list:
-    """Record each instance check :class:`SequenceData` makes."""
+    """Record each instance check that ``trainers`` makes, through
+    ``_check_sequence`` (as :class:`SequenceData` does) or ``_check_instance``."""
     checks = []
 
-    def counting_check(*args, **kwargs):
-        checks.append(args)
-        return _check_sequence(*args, **kwargs)
+    def counting(check):
+        def counting_check(*args, **kwargs):
+            checks.append(args)
+            return check(*args, **kwargs)
 
-    monkeypatch.setattr(trainers, "_check_sequence", counting_check)
+        return counting_check
+
+    monkeypatch.setattr(trainers, "_check_sequence", counting(_check_sequence))
+    monkeypatch.setattr(trainers, "_check_instance", counting(_check_instance))
     return checks
 
 
 def test_evaluations_reuse_the_checked_instances(monkeypatch):
-    """Each train and test instance is validated once, however often the run evaluates."""
+    """Each train and test instance is validated once, while the data is
+    built, however often the run evaluates."""
     checks = _count_checks(monkeypatch)
     data = tiny_data(seed=3, n_train=7, n_test=5, n_labels=3)
+    assert len(checks) == len(data.train) + len(data.test)
     result = sgd_train(data, TrainConfig(objective="lincore", iterations=20, eval_interval=4))
     assert len(result.history) == 6
     assert len(checks) == len(data.train) + len(data.test)
@@ -774,6 +782,21 @@ def test_sequence_data_splits_are_read_only():
         data.train.append(_bad_instance("negative_label"))
     with pytest.raises(TypeError):
         data.test[0] = _bad_instance("non_finite")
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_sequence_data_keeps_what_it_checked(objective):
+    """Writing NaN or a -1 label into the caller's arrays after construction
+    reaches neither the data nor the run: the splits hold checked copies."""
+    data = tiny_data(n_labels=3)
+    x, y = data.train[0][0].copy(), data.train[0][1].copy()
+    kept = SequenceData(train=[(x, y), *data.train[1:]], test=data.test, n_labels=3)
+    reference = sgd_train(kept, TrainConfig(objective=objective, iterations=8, seed=1))
+    x[0, 0], y[0] = np.nan, -1
+    assert np.array_equal(kept.train[0][0], data.train[0][0])
+    assert np.array_equal(kept.train[0][1], data.train[0][1])
+    result = sgd_train(kept, TrainConfig(objective=objective, iterations=8, seed=1))
+    assert np.array_equal(model_weights(result.model), model_weights(reference.model))
 
 
 def test_generate_hmm_split_checks_each_instance_once(monkeypatch):
