@@ -153,6 +153,11 @@ def loss_augmented_viterbi(model: ChainModel, x, y_true) -> tuple[np.ndarray, fl
     the unary score of every label that disagrees with the target.
     """
     x, y_true = _check_instance(model, x, y_true)
+    return _loss_augmented_viterbi(model, x, y_true)
+
+
+def _loss_augmented_viterbi(model: ChainModel, x: np.ndarray, y_true: np.ndarray) -> tuple:
+    """Unchecked :func:`loss_augmented_viterbi`.  Callers validate first."""
     length = x.shape[0]
     unary = _unary_table(model, x) + 1.0 / length
     unary[np.arange(length), y_true] -= 1.0 / length
@@ -187,40 +192,57 @@ def _edge_block(length: int, n: int) -> np.ndarray | None:
     return _aligned_empty((n, n)) if (length - 1) * n * n >= _CACHE_ELEMENTS else None
 
 
-def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple | None:
-    """Forward half of the scaled recursion: ``(alpha, kernel, psi, scale,
-    log_partition)``, or ``None`` when the potential range ``R`` is too wide
-    for it (or not a number)."""
-    length, n = unary.shape
-    t_shift = transition.max()
-    u_shift = unary.max(axis=1)
-    spread = (t_shift - transition.min()) + (u_shift - unary.min(axis=1)).max()
-    if not spread <= _SCALED_RANGE_LIMIT:
-        return None
+def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple:
+    """The one forward recursion, over ``(N, L, Y)`` unary tables or one
+    ``(L, Y)`` table: ``(inside, alpha, kernel, psi, scale, log_partition)``.
+
+    Tables whose potential range ``R`` is too wide (or not a number) are
+    marked off in ``inside`` and dropped before the recursion runs; the other
+    outputs hold the tables kept, in order.  Each position is one stacked
+    ``(N, 1, Y) @ (Y, Y)`` matmul, a BLAS matrix-vector product per row
+    (``np.dot`` for one table: the same product without matmul's set-up),
+    and every sum runs along a row's own contiguous axis, so each row keeps
+    the bits of its table alone.  A 2-D ``(N, Y) @ (Y, Y)`` GEMM would not.
+    """
+    length, n = unary.shape[-2:]
+    t_shift = np.maximum.reduce(transition, axis=None)
+    u_shift = np.maximum.reduce(unary, axis=-1)
+    spread = np.maximum.reduce(u_shift - np.minimum.reduce(unary, axis=-1), axis=-1)
+    spread += t_shift - np.minimum.reduce(transition, axis=None)
+    inside = spread <= _SCALED_RANGE_LIMIT
+    if np.count_nonzero(inside) < inside.size:
+        unary, u_shift = unary[inside], u_shift[inside]
     kernel = np.subtract(transition, t_shift, out=_edge_block(length, n))
     np.exp(kernel, out=kernel)
-    psi = np.exp(unary - u_shift[:, None])
+    psi = np.exp(unary - u_shift[..., None])
 
-    alpha = np.empty((length, n))
-    scale = np.empty(length)
-    alpha[0] = psi[0]
+    alpha = np.empty_like(psi)
+    scale = np.empty(u_shift.shape)
+    # Per-position views of the messages, factors psi_j and scales c_j.
+    if alpha.ndim == 2:
+        product, messages, factors, totals = np.dot, alpha, psi, scale[:, None]
+    else:
+        product = np.matmul
+        messages, factors = (a.swapaxes(0, 1)[:, :, None] for a in (alpha, psi))
+        totals = scale.T[:, :, None, None]
+    messages[0] = factors[0]
     for j in range(length):
-        message = alpha[j]
+        message, total = messages[j], totals[j]
         if j:
-            np.dot(alpha[j - 1], kernel, out=message)
-            message *= psi[j]
-        scale[j] = message.sum()
-        message /= scale[j]
-    log_partition = float(np.log(scale).sum() + u_shift.sum() + (length - 1) * t_shift)
-    return alpha, kernel, psi, scale, log_partition
+            product(messages[j - 1], kernel, out=message)
+            message *= factors[j]
+        np.add.reduce(message, axis=-1, keepdims=True, out=total)
+        message /= total
+    log_partition = np.add.reduce(np.log(scale), axis=-1) + np.add.reduce(u_shift, axis=-1)
+    log_partition += (length - 1) * t_shift
+    return inside, alpha, kernel, psi, scale, log_partition
 
 
 def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _ScaledChain | None:
     """Scaled recursion, or ``None`` when the potential range is too wide for it."""
-    forward = _scaled_forward(unary, transition)
-    if forward is None:
+    inside, alpha, kernel, psi, scale, log_partition = _scaled_forward(unary, transition)
+    if not inside:
         return None
-    alpha, kernel, psi, scale, log_partition = forward
     edge_weights = psi[1:] / scale[1:, None]
     beta = np.empty_like(alpha)
     beta[-1] = 1.0
@@ -228,7 +250,7 @@ def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _Scal
         weights = edge_weights[j]
         weights *= beta[j + 1]
         np.dot(kernel, weights, out=beta[j])
-    return _ScaledChain(alpha, beta, kernel, edge_weights, log_partition)
+    return _ScaledChain(alpha, beta, kernel, edge_weights, float(log_partition))
 
 
 def _log_space_forward_backward(unary: np.ndarray, transition: np.ndarray) -> Marginals:
@@ -267,16 +289,18 @@ def forward_backward(model: ChainModel, x) -> Marginals:
     return Marginals(chain.alpha * chain.beta, edges, chain.log_partition)
 
 
-def _crf_nll(model: ChainModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Unchecked CRF negative log-likelihood ``log Z - score(y)`` from the
-    forward pass alone.  Callers validate first."""
-    unary = _unary_table(model, x)
-    forward = _scaled_forward(unary, model.transition)
-    if forward is None:
-        log_partition = _log_space_forward_backward(unary, model.transition).log_partition
-    else:
-        log_partition = forward[-1]
-    return float(log_partition - _chain_scores(model, x, y[None])[0])
+def _crf_nll(model: ChainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Unchecked CRF negative log-likelihoods ``log Z - score(y)`` of ``(N,
+    L, d)`` inputs and ``(N, L)`` labels, from one batched forward pass:
+    ``(N,)``, each row the bits of its instance alone.  Rows past the scaled
+    range take ``log Z`` from the log-space recursion.  Callers validate first."""
+    unary = xs @ model.unary.T  # (N, L, Y), each row bitwise x @ unary.T
+    inside, *_, log_partition = _scaled_forward(unary, model.transition)
+    log_z = np.empty(len(unary))
+    log_z[inside] = log_partition
+    for i in np.flatnonzero(~inside):
+        log_z[i] = _log_space_forward_backward(unary[i], model.transition).log_partition
+    return log_z - _chain_scores(model, xs, ys[:, None])[:, 0]
 
 
 def _crf_gradient_blocks(model: ChainModel, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -308,14 +332,14 @@ def _crf_gradient_blocks(model: ChainModel, x: np.ndarray, y: np.ndarray) -> tup
     nll = log_partition - _chain_scores(model, x, y[None])[0]
 
     grad_unary = unary_marginals.T @ x  # (Y, d)
-    observed = np.zeros_like(grad_unary)
+    observed = np.zeros(grad_unary.shape)
     np.add.at(observed, y, x)
     grad_unary -= observed
     # Each edge subtracts its cell's full count; an edge that repeats a
     # cell writes the same value again.
     src, dst = y[:-1], y[1:]
     cells = src * model.n_labels + dst
-    grad_transition[src, dst] -= (cells[:, None] == cells).sum(axis=1)
+    grad_transition[src, dst] -= np.add.reduce(cells[:, None] == cells, axis=1)
     return float(nll), grad_unary, grad_transition
 
 
@@ -344,7 +368,8 @@ def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple[float, np.ndarra
     branch is chosen, so the subgradient is zero there.
     """
     x, y = _check_instance(model, x, y)
-    violation, competitor = hinge_violation(model, x, y)
+    competitor, augmented = _loss_augmented_viterbi(model, x, y)
+    violation = float(augmented - _chain_scores(model, x, y[None])[0])
     dim = model.n_labels * model.dim + model.n_labels**2
     if violation <= 0.0:
         return float(max(violation, 0.0)), np.zeros(dim)

@@ -156,15 +156,18 @@ def _chain_scores(model: ChainModel, x: np.ndarray, sequences: np.ndarray) -> np
     in the package comes from here, so a sequence scores the same bits
     alone, in a pair or in a full enumeration.  ``(N, L, d)`` inputs give
     ``(N, K)`` scores, each row bitwise the scores of its own ``(L, d)``
-    call.  Callers validate first.
+    call, of the shared ``(K, L)`` sequences or of each instance's own
+    ``(N, K, L)`` ones.  Callers validate first.
     """
     gathered = model.unary[sequences]
     if x.ndim == 2:
         scores = np.einsum("kld,ld->k", gathered, x)
-    else:
+    elif sequences.ndim == 2:
         scores = np.einsum("kld,nld->nk", gathered, x)
-    if sequences.shape[1] > 1:
-        scores += model.transition[sequences[:, :-1], sequences[:, 1:]].sum(axis=1)
+    else:
+        scores = np.einsum("nkld,nld->nk", gathered, x)
+    if sequences.shape[-1] > 1:
+        scores += model.transition[sequences[..., :-1], sequences[..., 1:]].sum(axis=-1)
     return scores
 
 

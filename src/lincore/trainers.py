@@ -37,7 +37,6 @@ from .errors import DomainError, EnumerationLimitError, TrainingDivergedError
 from .inference import (
     _crf_gradient_blocks,
     _crf_nll,
-    _unary_table,
     _viterbi,
     hinge_violation,
     ssvm_loss_and_subgradient,
@@ -413,8 +412,7 @@ def test_hamming_error(model: ChainModel, instances) -> float:
         return float("nan")
     errors = np.empty(len(instances))
     for positions in _length_groups(instances):
-        unary = np.stack([_unary_table(model, instances[i][0]) for i in positions])
-        paths = _viterbi(unary, model.transition)[0]
+        paths = _viterbi(_stack(instances, positions, 0) @ model.unary.T, model.transition)[0]
         errors[positions] = np.mean(paths != _stack(instances, positions, 1), axis=1)
     return float(np.mean(errors))
 
@@ -423,21 +421,22 @@ def _mean_objective(objective: str, model: ChainModel, instances, config: TrainC
     # The surrogate objectives record the full exact sum loss as the
     # monitoring metric (NaN when the label space is too large to
     # enumerate); the neighbor proposal optimizes its restricted variant,
-    # which moves together with the full sum on these scales.  Instances
-    # of equal length are evaluated in one batched call.  The CRF objective
-    # needs ``log Z`` only, so it runs the forward pass alone.
+    # which moves together with the full sum on these scales.  The CRF
+    # objective needs ``log Z`` only, so it runs the batched forward pass
+    # alone.  Instances of equal length are evaluated in one batched call,
+    # each row with the bits of its instance alone.
     if objective == "ssvm":
-        values = [ssvm_loss_and_subgradient(model, x, y)[0] for x, y in instances]
-    elif objective == "crf":
-        values = [_crf_nll(model, x, y) for x, y in instances]
-    else:
-        values = np.empty(len(instances))
-        for positions in _length_groups(instances):
-            xs, ys = _stack(instances, positions, 0), _stack(instances, positions, 1)
-            try:
-                values[positions] = structured_sum_loss_exact(config.spec, model, xs, ys)
-            except EnumerationLimitError:
-                return float("nan")
+        return float(np.mean([ssvm_loss_and_subgradient(model, x, y)[0] for x, y in instances]))
+    values = np.empty(len(instances))
+    for positions in _length_groups(instances):
+        xs, ys = _stack(instances, positions, 0), _stack(instances, positions, 1)
+        if objective == "crf":
+            values[positions] = _crf_nll(model, xs, ys)
+            continue
+        try:
+            values[positions] = structured_sum_loss_exact(config.spec, model, xs, ys)
+        except EnumerationLimitError:
+            return float("nan")
     return float(np.mean(values))
 
 

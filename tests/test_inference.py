@@ -262,18 +262,37 @@ def test_inference_kernels_scale_quadratically_in_labels():
     quadratically for the median to land in the band.  A round whose Y=2
     call stalled past a larger size has no log to fit; it counts as an
     infinitely steep slope, the direction such a stall tilts the fit.
+    A first round of the same calls is run and discarded, so the first
+    calls of a fresh process stay out of the fit.
+
+    Each kernel is fitted inside one regime of its own code.  Viterbi decodes
+    ``Y <= 181`` in whole-instance tiles and larger ``Y`` in runs of rows
+    (:func:`inference._viterbi_tiles`); a fit across that step read slopes
+    of about 1.7.  A run of rows also copies ``2^15`` elements per position
+    whatever ``Y`` is, which the ``Y = 2`` floor does not take off: 41% of
+    the candidates at ``Y = 283`` and 5% at 800.  Fits from ``Y = 200``
+    read 1.51 to 2.47 in 180 fresh processes, two of them outside the band;
+    fits from 283 read 1.87 to 2.16 in 30.  Forward-backward allocates an
+    ``(L - 1, Y, Y)`` edge tensor, 23 MB at ``Y = 400`` and ``L = 20``:
+    there a call took 7 ms in some processes and 11 ms in others, and one
+    fit up to 400 in 30 read 2.66.  Past 32 MiB (``Y = 480``) a call costs
+    about 2.5 times the quadratic trend.  So its fit stops at 283, an
+    11.6 MB tensor.
     """
     import time
 
     rng = np.random.default_rng(11)
-    length, dim = 20, 20
-    floor, sizes = 2, (50, 100, 200, 400)
-    for kernel in ("loss_augmented_viterbi", "forward_backward"):
+    length, dim, floor = 20, 20, 2
+    regimes = {
+        "loss_augmented_viterbi": (283, 400, 566, 800),
+        "forward_backward": (100, 141, 200, 283),
+    }
+    for kernel, sizes in regimes.items():
         cases = []
         for n in (floor, *sizes):
             model = ChainModel(rng.normal(size=(n, dim)), rng.normal(size=(n, n)))
             cases.append((model, rng.normal(size=(length, dim)), rng.integers(0, n, size=length)))
-        times = np.full((7, len(cases)), np.inf)
+        times = np.full((8, len(cases)), np.inf)  # row 0: the warm-up
         for round_times in times:
             for k, (model, x, y) in enumerate(cases):
                 for _ in range(4):
@@ -283,6 +302,7 @@ def test_inference_kernels_scale_quadratically_in_labels():
                     else:
                         forward_backward(model, x)
                     round_times[k] = min(round_times[k], time.perf_counter() - tick)
+        times = times[1:]
         quadratic = times[:, 1:] - times[:, :1]
         slopes = [
             float(np.polyfit(np.log(sizes), np.log(row), 1)[0]) if (row > 0).all() else np.inf
@@ -625,8 +645,87 @@ def test_crf_fast_path_matches_the_allocating_reference(n, length):
         _same_bits(marg.unary_marginals, unary_marginals)
         _same_bits(marg.transition_marginals, edges)
         _same_bits(marg.log_partition, log_z)
-        _same_bits(inference._crf_nll(model, x, y), nll)
+        _same_bits(inference._crf_nll(model, x[None], y[None]), np.array([nll]))
         if aligned:
-            kernel = inference._scaled_forward(x @ model.unary.T, model.transition)[1]
+            kernel = inference._scaled_forward(x @ model.unary.T, model.transition)[2]
             for block in (kernel, blocks[2]):
                 assert block.ctypes.data % structured._CACHE_LINE == 0
+
+
+@pytest.mark.parametrize("count", [1, 2, 64])
+@pytest.mark.parametrize("n", [3, 5, 60, 129, 400])
+@pytest.mark.parametrize("length", [1, 2, 9, 20])
+def test_batched_forward_rows_keep_their_single_table_bits(count, n, length):
+    """Every row of one ``(N, L, Y)`` forward call has the ``alpha``, ``psi``,
+    ``scale`` and ``log Z`` of its ``(L, Y)`` table alone, and every
+    ``_crf_nll`` row the value of :func:`crf_nll_and_gradient`.  A 2-D GEMM
+    in place of the stacked products moves bits from ``Y = 5``, and a
+    ``log(scale)`` sum along a strided axis from ``L = 8``."""
+    rng = np.random.default_rng([count, n, length])
+    model = ChainModel(rng.normal(size=(n, 4)), rng.normal(size=(n, n)))
+    xs = rng.normal(size=(count, length, 4))
+    ys = rng.integers(0, n, size=(count, length))
+    unary = xs @ model.unary.T
+    inside, alpha, kernel, psi, scale, log_z = inference._scaled_forward(unary, model.transition)
+    assert inside.shape == (count,) and inside.all()
+    nll = inference._crf_nll(model, xs, ys)
+    assert nll.shape == (count,)
+    for i in range(count):
+        _same_bits(unary[i], xs[i] @ model.unary.T)
+        one = inference._scaled_forward(unary[i], model.transition)
+        assert one[0]
+        for got, want in zip((alpha[i], kernel, psi[i], scale[i], log_z[i]), one[1:]):
+            _same_bits(got, want)
+        _same_bits(nll[i], crf_nll_and_gradient(model, xs[i], ys[i])[0])
+
+
+def test_batched_forward_drops_rows_past_the_scaled_range():
+    """Rows past ``_SCALED_RANGE_LIMIT`` never enter the scaled recursion, so
+    a batch that mixes them with rows inside it raises no ``RuntimeWarning``,
+    and their values come from the log-space recursion."""
+    import warnings
+
+    rng = np.random.default_rng(30)
+    n, length = 5, 6
+    model = ChainModel(rng.normal(size=(n, 3)), rng.normal(size=(n, n)))
+    xs = rng.normal(size=(8, length, 3))
+    far = np.array([1, 4, 5])
+    xs[far] *= 1e4  # unary ranges of thousands of nats
+    ys = rng.integers(0, n, size=(8, length))
+    unary = xs @ model.unary.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside, alpha, *_, log_z = inference._scaled_forward(unary, model.transition)
+        nll = inference._crf_nll(model, xs, ys)
+    np.testing.assert_array_equal(np.flatnonzero(~inside), far)
+    assert alpha.shape == (8 - far.size, length, n) and log_z.shape == (8 - far.size,)
+    for i in range(8):
+        if i in far:
+            log_space = inference._log_space_forward_backward(unary[i], model.transition)
+            _same_bits(nll[i], log_space.log_partition - sequence_score(model, xs[i], ys[i]))
+        _same_bits(nll[i], crf_nll_and_gradient(model, xs[i], ys[i])[0])
+
+
+def test_ssvm_evaluation_checks_each_instance_once(monkeypatch):
+    """``ssvm_loss_and_subgradient`` checks its instance and then decodes
+    unchecked; the checked ``loss_augmented_viterbi`` keeps its own check,
+    and the SSVM step's ``hinge_violation`` still goes through it."""
+    rng = np.random.default_rng(31)
+    model = ChainModel(rng.normal(size=(4, 3)), rng.normal(size=(4, 4)))
+    x, y = rng.normal(size=(5, 3)), rng.integers(0, 4, size=5)
+    want = ssvm_loss_and_subgradient(model, x, y)
+    calls = {"_check_instance": 0, "loss_augmented_viterbi": 0}
+    for name in calls:
+        real = getattr(inference, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(inference, name, counted)
+    got = ssvm_loss_and_subgradient(model, x, y)
+    assert calls == {"_check_instance": 1, "loss_augmented_viterbi": 0}
+    _same_bits(got[0], want[0])
+    _same_bits(got[1], want[1])
+    inference.hinge_violation(model, x, y)
+    assert calls == {"_check_instance": 2, "loss_augmented_viterbi": 1}

@@ -453,6 +453,19 @@ class TestBatchedSumLoss:
         for k in range(6):
             assert rows[k].tobytes() == all_sequence_scores(model, x[k], seqs).tobytes()
 
+    @pytest.mark.parametrize("n_labels, length", [(3, 1), (3, 4), (60, 20), (400, 9)])
+    def test_own_sequence_scores_match_single_rows_bitwise(self, n_labels, length):
+        """``(N, K, L)`` sequences score each instance's own ``K`` rows with
+        the bits of that instance's ``(L, d)`` call."""
+        rng = np.random.default_rng([33, n_labels, length])
+        model = random_model(rng, n_labels, 5)
+        x = rng.normal(size=(6, length, 5))
+        seqs = rng.integers(0, n_labels, size=(6, 3, length))
+        rows = _chain_scores(model, x, seqs)
+        assert rows.shape == (6, 3)
+        for k in range(6):
+            assert rows[k].tobytes() == _chain_scores(model, x[k], seqs[k]).tobytes()
+
     def test_batch_validation(self):
         model = ChainModel.zeros(3, 2)
         x = np.zeros((2, 4, 2))

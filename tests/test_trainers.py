@@ -436,19 +436,24 @@ class TestSgdTrain:
         with pytest.raises(TrainingDivergedError, match="objective 5.15e\\+03 .* at iteration 0$"):
             run_train_seq({"iterations": 1})
 
-    def test_crf_objective_past_the_scaled_range(self):
-        """Past the scaled recursion's range the evaluation objective takes
-        ``log Z`` from the log-space recursion, with the bits of
-        :func:`crf_nll_and_gradient`."""
-        data = generate_hmm_split(HmmSpec(length=4, n_labels=3, dim=5, n_sequences=20, seed=1), 2)
+    @pytest.mark.parametrize(
+        "n_labels, eta, past", [(3, 100.0, True), (3, 0.1, False), (60, 0.1, False)]
+    )
+    def test_crf_objective_past_the_scaled_range(self, n_labels, eta, past):
+        """The batched evaluation objective is the mean of per-instance
+        :func:`crf_nll_and_gradient` values, bit for bit, inside the scaled
+        recursion's range and past it, where ``log Z`` comes from the
+        log-space recursion."""
+        spec = HmmSpec(length=4, n_labels=n_labels, dim=5, n_sequences=20, seed=1)
+        data = generate_hmm_split(spec, 2)
         config = TrainConfig(
-            eta=100.0, iterations=3, objective="crf", eval_interval=3, eval_max_instances=8
+            eta=eta, iterations=3, objective="crf", eval_interval=3, eval_max_instances=8
         )
         result = sgd_train(data, config)
         model, instances = result.model, data.train[:8]
         for x, _ in instances:
             unary = inference._unary_table(model, np.asarray(x, dtype=np.float64))
-            assert inference._scaled_forward(unary, model.transition) is None
+            assert inference._scaled_forward(unary, model.transition)[0] != past
         nll = [crf_nll_and_gradient(model, x, y)[0] for x, y in instances]
         assert result.history[-1].objective == float(np.mean(nll))
 
@@ -871,6 +876,20 @@ def test_batched_test_error_matches_single_decodes():
     zero = ChainModel.zeros(3, 2)
     ties = [(np.zeros((4, 2)), np.array([0, 0, 1, 2])), (np.zeros((4, 2)), np.zeros(4, int))]
     assert trainers.test_hamming_error(zero, ties) == 0.25
+
+
+@pytest.mark.parametrize("n", [3, 60, 400])
+def test_stacked_unary_rows_keep_their_single_instance_bits(n):
+    """One ``(N, L, d) @ (d, Y)`` product per length group, as the Viterbi
+    test error and the CRF objective take it, gives each instance the bits
+    of its own ``x @ unary.T``."""
+    rng = np.random.default_rng(n)
+    model = ChainModel(rng.normal(size=(n, 20)), rng.normal(size=(n, n)))
+    instances = [(rng.normal(size=(4, 20)), rng.integers(0, n, size=4)) for _ in range(64)]
+    positions = np.arange(64)
+    stacked = trainers._stack(instances, positions, 0) @ model.unary.T
+    for row, (x, _) in zip(stacked, instances):
+        assert row.tobytes() == inference._unary_table(model, x).tobytes()
 
 
 @pytest.mark.parametrize("objective", ["lincore", "crf"])
