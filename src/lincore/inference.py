@@ -354,7 +354,12 @@ def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
 def hinge_violation(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
     """Structured hinge violation of ``y`` and its loss-augmented competitor.
 
-    ``x`` and ``y`` are the arrays :func:`_check_instance` returns.
+    ``x`` and ``y`` are the arrays :func:`_check_instance` returns.  The SSVM
+    step keeps the checked :func:`loss_augmented_viterbi`, re-check and all,
+    because the step is that traced function's only caller in the
+    benchmark's workloads (evaluation decodes unchecked): its calls and
+    time per call then measure the step's decode, and an unchecked call
+    here would leave that row empty.
     """
     competitor, augmented = loss_augmented_viterbi(model, x, y)
     return float(augmented - _chain_scores(model, x, y[None])[0]), competitor

@@ -62,10 +62,25 @@ _EXP_INPUT_LIMIT = 700.0
 # 1e231 a^(-1/4) and the curvature ``v^2 / a`` at most 1e154 a^(-1/2), for
 # any normal ``a`` up to 1e230, the range ``BaseLoss`` accepts.  A tail
 # argument is smaller than ``|u|`` and a tail lies beyond ``tau < |u|``, so
-# ``+ 2 tau`` adds under 2e77.
+# ``+ 2 tau`` adds under 2e77.  ``BaseLoss`` keeps ``|K|`` and ``|K / a|`` within
+# ``_QUARTIC_OFFSET_LIMIT`` = 1e308, so the numerator stays under 1.2e308 (``a v``
+# is at most 1e307) and the value under 1.1e308.
 _QUARTIC_INPUT_LIMIT = 1e77
+_QUARTIC_OFFSET_LIMIT = 1e308
 
 _MIN_TAU = 1e-12
+
+# The core ``tau - u + c0`` is at most ``2 tau + c0`` on a symmetric surrogate.
+# A one-sided core reaches ``u = -1.8e308`` (the logistic base has no input
+# limit, and its ``c0`` is 2 log 2), where ``-u`` is the float64 maximum and
+# adding ``tau + c0`` rounds back to it while that stays below half the float
+# spacing there, 2^969 ~ 1e292.  Capping ``tau`` at 1e290 keeps both finite.
+_MAX_TAU = 1e290
+
+# The symmetric logistic left tail ``2 Phi(-tau - u) + 2 tau`` is at most
+# ``-2 u + 2 log 2`` up to rounding, below the float64 maximum 1.8e308 while
+# ``u >= -8.9e307``; left-tail entries below that raise instead of warning.
+_LOGISTIC_LEFT_LIMIT = 8.9e307
 
 
 @dataclass(frozen=True)
@@ -83,9 +98,20 @@ class BaseLoss:
     def __post_init__(self) -> None:
         if self.kind not in _BASE_KINDS:
             raise DomainError(f"unknown base loss kind: {self.kind!r}")
-        # The range ``_QUARTIC_INPUT_LIMIT`` is derived for: a normal float up to 1e230.
-        if self.kind == QUARTIC_LINEAR and not np.finfo(np.float64).tiny <= self.a <= 1e230:
+        if self.kind != QUARTIC_LINEAR:
+            return
+        # The ranges ``_QUARTIC_INPUT_LIMIT`` is derived for: a normal slope up
+        # to 1e230, and an offset and intercept within ``_QUARTIC_OFFSET_LIMIT``.
+        if not np.finfo(np.float64).tiny <= self.a <= 1e230:
             raise DomainError(f"quartic-linear slope must lie in [2.2e-308, 1e230], got {self.a}")
+        # As Python floats ``offset / a`` overflows to inf without a numpy warning.
+        intercept = float(self.offset) / float(self.a)
+        limit = _QUARTIC_OFFSET_LIMIT
+        if not (abs(self.offset) <= limit and abs(intercept) <= limit):
+            raise DomainError(
+                f"quartic-linear offset and intercept offset/a must be finite and at most "
+                f"{limit:g} in magnitude, got offset {self.offset}, slope {self.a}"
+            )
 
     @classmethod
     def logistic(cls) -> "BaseLoss":
@@ -138,9 +164,9 @@ class LinearCoreSpec:
     def __post_init__(self) -> None:
         if self.side not in _SIDES:
             raise DomainError(f"unknown smoothing side: {self.side!r}")
-        if not np.isfinite(self.tau) or self.tau < _MIN_TAU:
+        if not _MIN_TAU <= self.tau <= _MAX_TAU:
             raise DomainError(
-                f"core half-width must be finite and >= {_MIN_TAU}, got {self.tau}"
+                f"core half-width must lie in [{_MIN_TAU}, {_MAX_TAU:g}], got {self.tau}"
             )
 
     @cached_property
@@ -176,8 +202,15 @@ def _base(base: BaseLoss, arr: np.ndarray, order: int) -> np.ndarray:
         return np.exp(arr)
     if base.kind == LOGISTIC:
         if order == 0:
-            # log(1 + e^u) without overflow for large |u|.
-            return np.maximum(arr, 0.0) + np.log1p(np.exp(-np.abs(arr)))
+            # log(1 + e^u) without overflow for large |u|, in place on one
+            # fresh array; the sum is commutative, so its bits are those of
+            # ``max(u, 0) + log1p(exp(-|u|))``.
+            out = np.abs(arr)
+            np.negative(out, out)
+            np.exp(out, out)
+            np.log1p(out, out)
+            out += np.maximum(arr, 0.0)
+            return out
         s = expit(arr)
         return s if order == 1 else s * (1.0 - s)
     if arr.size and np.abs(arr).max() > _input_limit(base):
@@ -210,17 +243,25 @@ def base_second_derivative(base: BaseLoss, u):
 
 def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = None) -> np.ndarray:
     """Surrogate value (``order`` 0) or derivative (1, 2) of a finite array,
-    unchecked but for the exponential and quartic-linear guards on ``|u|``.
+    unchecked but for the exponential and quartic-linear guards on ``|u|``
+    and the logistic left-tail guard.
 
-    The core is ``-u + tau + c0`` with slope -1 and curvature 0.  The tails
+    The core is ``tau - u + c0`` with slope -1 and curvature 0.  The tails
     are ``Phi^(order)(tau - u) / Phi'(0)`` on the right and
     ``Phi^(order)(-tau - u) / Phi'(0)`` on the left, negated for the first
     derivative and shifted by ``2*tau`` for the left value.  Knots take the
     core, except that ``knot`` (``LEFT`` or ``RIGHT``) gives the knot on
-    that side to its tail.  The tails call ``_base`` through ``_tail``: once
-    ``|u|`` is within its base's limit both tail arguments are too (the
-    right one is ``tau - u < 0``, the left one ``-tau - u < |u|``), so the
-    base guard cannot trip there.
+    that side to its tail.  The tails call ``_base`` through ``_tail`` (the
+    logistic value tail writes its base out): once ``|u|`` is within its
+    base's limit both tail arguments are too (the right one is
+    ``tau - u < 0``, the left one ``-tau - u < |u|``), so the base guard
+    cannot trip there.
+
+    Each tail is selected by flat index: ``nonzero`` of its mask over the
+    C-ordered input (``ravel``), an integer gather, and index assignment to
+    scatter into a fresh C-contiguous output, which costs a fraction of N-D
+    boolean masks.  ``tau - u`` has the bits of ``-u + tau``, so for the
+    value it is both the core (before ``c0``) and the right tail's argument.
     """
     kind = spec.base.kind
     if kind != LOGISTIC and arr.size and np.abs(arr).max() > _input_limit(spec.base):
@@ -229,33 +270,58 @@ def _lc(spec: LinearCoreSpec, arr: np.ndarray, order: int, knot: str | None = No
             f"{_input_limit(spec.base):g} (got {np.max(np.abs(arr)):.3g})"
         )
     tau = spec.tau
+    flat = arr.ravel()
+    right = (flat >= tau if knot == RIGHT else flat > tau).nonzero()[0]
     if order == 0:
-        # The affine core everywhere, in place, then the tails over their entries.
-        out = np.negative(arr)
-        out += tau
+        out = np.subtract(tau, flat)
+        right_tail = _tail(spec.base, out[right], 0) if right.size else None
         out += spec.intercept
     else:
-        out = np.full_like(arr, -1.0 if order == 1 else 0.0)
-    # ``count_nonzero`` tests a small mask about a microsecond faster than ``.any()``.
-    right = arr >= tau if knot == RIGHT else arr > tau
-    if np.count_nonzero(right):
-        out[right] = _tail(spec.base, tau - arr[right], order)
+        out = np.empty(flat.shape)
+        out.fill(-1.0 if order == 1 else 0.0)
+        right_tail = _tail(spec.base, np.subtract(tau, flat[right]), order) if right.size else None
+    if right.size:
+        out[right] = right_tail
     if spec.side == SYMMETRIC:
-        left = arr <= -tau if knot == LEFT else arr < -tau
-        if np.count_nonzero(left):
-            tail = _tail(spec.base, -tau - arr[left], order)
-            out[left] = tail + 2.0 * tau if order == 0 else tail
-    return out
+        left = (flat <= -tau if knot == LEFT else flat < -tau).nonzero()[0]
+        if left.size:
+            arg = flat[left]
+            if order == 0 and kind == LOGISTIC and np.minimum.reduce(arg) < -_LOGISTIC_LEFT_LIMIT:
+                raise EvaluationOverflowError(
+                    f"logistic left-tail overflow: u < {-_LOGISTIC_LEFT_LIMIT:g} "
+                    f"(got {arg.min():.3g})"
+                )
+            tail = _tail(spec.base, np.subtract(-tau, arg, arg), order)
+            if order == 0:
+                tail += 2.0 * tau
+            out[left] = tail
+    return out if arr.ndim == 1 else out.reshape(arr.shape)
 
 
 def _tail(base: BaseLoss, arg: np.ndarray, order: int) -> np.ndarray:
-    """``Phi^(order)(arg) / Phi'(0)``, negated in place for the first derivative.
+    """``Phi^(order)(arg) / Phi'(0)`` of a fresh array of tail arguments,
+    which it may overwrite, negated for the first derivative.
 
+    A value tail's arguments share one sign, ``tau - u < 0`` on the right
+    and ``-tau - u > 0`` on the left, so the logistic ``max(v, 0) +
+    log1p(e^-|v|)`` drops the passes that move no bit there: it is
+    ``log1p(e^v)`` on the right and ``v + log1p(e^-v)`` on the left.
     ``-(x / s)`` has the bits of ``(-1.0 * x) / s``: negation is exact and
     division rounds symmetrically.
     """
-    tail = _base(base, arg, order) / base.slope_at_zero
-    return np.negative(tail, out=tail) if order == 1 else tail
+    if base.kind == LOGISTIC and order == 0:
+        if arg[0] < 0.0:
+            tail = np.exp(arg, arg)
+            np.log1p(tail, tail)
+        else:
+            tail = np.negative(arg)
+            np.exp(tail, tail)
+            np.log1p(tail, tail)
+            tail += arg
+    else:
+        tail = _base(base, arg, order)
+    tail /= base.slope_at_zero
+    return np.negative(tail, tail) if order == 1 else tail
 
 
 def _lc_at(spec: LinearCoreSpec, u, order: int, knot: str | None = None):

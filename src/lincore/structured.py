@@ -309,9 +309,17 @@ def all_sequence_scores(model: ChainModel, x, sequences) -> np.ndarray:
 def similarity_weights(sequences: np.ndarray, y: np.ndarray) -> np.ndarray:
     """1 - Hamming distance of every enumerated sequence to ``y``.
 
-    ``(N, L)`` targets give ``(N, K)`` weights, one row per target.
+    ``(N, L)`` targets give ``(N, K)`` weights, one row per target.  The
+    differing positions are counted one position at a time: the count is
+    exact, so ``1 - count / L`` has the bits of averaging the float mask,
+    without its slow reduction over the short last axis.
     """
-    return 1.0 - np.mean(sequences != np.asarray(y)[..., None, :], axis=-1)
+    y = np.asarray(y)
+    length = sequences.shape[1]
+    differ = np.zeros(y.shape[:-1] + sequences.shape[:1], dtype=np.intp)
+    for j in range(length):
+        differ += sequences[:, j] != y[..., j, None]
+    return 1.0 - differ / length
 
 
 def _check_batch(model: ChainModel, x, y) -> tuple[np.ndarray, np.ndarray, bool]:

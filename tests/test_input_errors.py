@@ -129,6 +129,31 @@ CASES = {
     ),
     "quartic_slope_subnormal": (DomainError, "quartic-linear slope", lambda: BaseLoss.quartic_linear(a=5e-324)),
     "quartic_slope_infinite": (DomainError, "quartic-linear slope", lambda: BaseLoss.quartic_linear(a=np.inf)),
+    "quartic_offset_nan": (
+        DomainError,
+        "quartic-linear offset",
+        lambda: BaseLoss.quartic_linear(a=1e-10, offset=float("nan")),
+    ),
+    "quartic_offset_infinite": (
+        DomainError,
+        "quartic-linear offset",
+        lambda: BaseLoss.quartic_linear(a=1e-10, offset=float("inf")),
+    ),
+    "quartic_intercept_overflows": (
+        DomainError,
+        "quartic-linear offset",
+        lambda: BaseLoss.quartic_linear(a=1e-10, offset=1e300),
+    ),
+    "quartic_intercept_overflows_numpy_slope": (
+        DomainError,
+        "quartic-linear offset",
+        lambda: BaseLoss.quartic_linear(a=np.float64(1e-10), offset=np.float64(1e300)),
+    ),
+    "half_width_beyond_its_cap": (
+        DomainError,
+        "core half-width",
+        lambda: LinearCoreSpec(BaseLoss.logistic(), tau=1e308),
+    ),
     "idn_spec_one_class": (DomainError, "n_classes >= 2", lambda: IdnSpec(n_classes=1)),
     "surrogate_regret_shapes": (
         DomainError,

@@ -254,6 +254,45 @@ class TestGuards:
         with pytest.raises(DomainError):
             LinearCoreSpec(BaseLoss.logistic(), tau=0.0)
 
+    def test_half_width_is_capped_where_the_core_stays_finite(self):
+        """``tau = 1e308`` used to warn "overflow encountered in add" at
+        ``u = -1.1e308``; past the cap it is rejected, and at the cap every
+        finite ``u`` evaluates without a warning, down to the most negative float."""
+        with pytest.raises(DomainError, match="core half-width"):
+            LinearCoreSpec(BaseLoss.logistic(), tau=1e308)
+        with pytest.raises(DomainError, match="core half-width"):
+            LinearCoreSpec(BaseLoss.logistic(), tau=np.nextafter(1e290, np.inf))
+        most = np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases = ((ONE_SIDED, [-most, -1.1e308, 0.0, most]), (SYMMETRIC, [-8.9e307, 0.0, most]))
+            for side, u in cases:
+                spec = LinearCoreSpec(BaseLoss.logistic(), side=side, tau=1e290)
+                for fn in (lc_value, lc_derivative):
+                    assert np.isfinite(fn(spec, np.array(u))).all()
+
+    def test_logistic_left_tail_overflow_raises_instead_of_warning(self):
+        """``[-1e308, 0.5]`` used to warn "overflow encountered in divide" in
+        the symmetric logistic left tail and return inf.  Its value raises
+        past ``u = -8.9e307``; its bounded derivatives and the one-sided core
+        stay finite there."""
+        spec = LinearCoreSpec(BaseLoss.logistic())
+        u = np.array([-1e308, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: lc_value(spec, u),
+                lambda: lc_value(spec, -1e308),
+                lambda: linear_core_margin_loss(spec).kernel(u, 0),
+                lambda: lc_value(spec, np.array([np.nextafter(-8.9e307, -np.inf)])),
+            ):
+                with pytest.raises(EvaluationOverflowError, match="left-tail"):
+                    call()
+            assert np.isfinite(lc_value(spec, np.array([-8.9e307, 0.5]))).all()
+            assert lc_derivative(spec, u).tolist() == [-2.0, lc_derivative(spec, 0.5)]
+            assert np.isfinite(lc_branch_second_derivative(spec, u, LEFT)).all()
+            assert np.isfinite(lc_value(LinearCoreSpec(BaseLoss.logistic(), side=ONE_SIDED), u)).all()
+
     def test_bad_side_and_side_limit(self):
         with pytest.raises(DomainError):
             LinearCoreSpec(BaseLoss.logistic(), side="both")
@@ -354,12 +393,38 @@ MASKED = {
     ],
 )
 def test_surrogate_matches_masked_reference_bitwise(spec, quantity):
+    """Every input layout gives the reference's bytes in a C-contiguous array.
+
+    The tails scatter by flat index into the output, so a layout where that
+    scatter landed in a copy would return core values in the tails; each
+    layout below holds entries of both tails, and the check that the tail
+    entries differ from the core expression makes such a loss visible
+    even where a tail meets the core."""
     fn, reference = MASKED[quantity]
     rng = np.random.default_rng(17)
-    u = np.concatenate([spec_grid(spec), rng.normal(scale=5.0, size=500)]).reshape(-1, 8)
-    assert fn(spec, u).tobytes() == reference(spec, u).reshape(u.shape).tobytes()
+    flat = np.concatenate([spec_grid(spec), rng.normal(scale=5.0, size=500)])
+    u = flat.reshape(-1, 8)
+    cube = flat[:1500].reshape(10, 15, 10)
+    layouts = {
+        "1-d": flat,
+        "2-d": u,
+        "3-d": cube,
+        "transposed": u.T,
+        "strided": flat[::2],
+        "strided 3-d": cube[:, ::2, 1::3],
+        "fortran": np.asfortranarray(u),
+        "fortran 3-d": np.asfortranarray(cube),
+    }
+    for name, arr in layouts.items():
+        got, want = fn(spec, arr), reference(spec, arr).reshape(arr.shape)
+        assert got.shape == arr.shape and got.flags.c_contiguous, name
+        assert got.tobytes() == want.tobytes(), name
+        tails = (arr > spec.tau + 1.0) | ((arr < -spec.tau - 1.0) & (spec.side == SYMMETRIC))
+        assert np.any(arr > spec.tau + 1.0) and np.any(arr < -spec.tau - 1.0), name
+        core = {"value": spec.tau - arr + spec.intercept, "derivative": -1.0}.get(quantity, 0.0)
+        assert np.all((got != core)[tails]), name
     for point in (0.0, spec.tau, -spec.tau, 0.5 * spec.tau, -3.0 - spec.tau, 2.0 + spec.tau):
-        for value in (point, np.float64(point)):
+        for value in (point, np.float64(point), np.array(point)):
             got = fn(spec, value)
             assert type(got) is float
             assert np.float64(got).tobytes() == reference(spec, point).tobytes()

@@ -191,3 +191,47 @@ def test_a_margin_infimum_calls_no_public_loss_function(monkeypatch):
     assert calls == dict.fromkeys(names, 0)
     lincore.mc_conditional_regrets(spec, np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0, -1.0]))
     assert calls["lc_value"] > 0
+
+
+def _predicted_margin_blocks(n_labels: int, length: int, count: int) -> int:
+    """Margin blocks of one batched ``structured_sum_loss_exact`` call, from
+    its budgets: anchor chunks at ``_CHUNK_ELEMENTS``, then instance rows at
+    ``_CACHE_ELEMENTS`` per chunk."""
+    m = n_labels**length
+    anchors = max(1, lincore.structured._CHUNK_ELEMENTS // m)
+    blocks = 0
+    for start in range(0, m, anchors):
+        rows = max(1, lincore.structured._CACHE_ELEMENTS // ((min(start + anchors, m) - start) * m))
+        blocks += -(-count // rows)
+    return blocks
+
+
+@pytest.mark.parametrize("n_labels, length, count", [(3, 4, 64), (3, 4, 5), (2, 1, 3), (2, 12, 2)])
+def test_the_sum_loss_monitor_calls_lc_value_once_per_margin_block(
+    monkeypatch, n_labels, length, count
+):
+    """``structured_sum_loss_exact`` reaches the traced ``losses.lc_value`` once
+    for ``phi(0)`` and once per margin block, so ``losses.lc_value.calls`` and
+    ``losses.self_s`` keep counting the monitor's surrogate work: 17 calls
+    for the 64 instances of a ``train-seq`` evaluation at Y=3, L=4.  A
+    version that called the unchecked kernel directly would read 0 here."""
+    calls = []
+    layers = _load_tracing().LAYERS
+    original = lincore.losses.lc_value
+
+    def counting(spec, u):
+        calls.append(np.shape(u))
+        return original(spec, u)
+
+    for namespace in [lincore, *(importlib.import_module(f"lincore.{layer}") for layer in layers)]:
+        if getattr(namespace, "lc_value", None) is original:
+            monkeypatch.setattr(namespace, "lc_value", counting)
+    rng = np.random.default_rng(0)
+    model = ChainModel(rng.normal(size=(n_labels, 3)), rng.normal(size=(n_labels, n_labels)))
+    x = rng.normal(size=(count, length, 3))
+    y = rng.integers(0, n_labels, size=(count, length))
+    lincore.structured.structured_sum_loss_exact(lincore.trainers.default_train_spec(), model, x, y)
+    assert len(calls) == 1 + _predicted_margin_blocks(n_labels, length, count)
+    assert calls[0] == ()
+    if (n_labels, length, count) == (3, 4, 64):
+        assert len(calls) == 17

@@ -14,6 +14,7 @@ from lincore import (
     EnumerationLimitError,
     LinearCoreSpec,
     ONE_SIDED,
+    SYMMETRIC,
     feature_radius_bound,
     feature_radius_exact,
     hamming_loss,
@@ -388,6 +389,70 @@ def _memory_blocked_sum_loss(spec, model, x, y):
             for i, row in enumerate(inner, first):
                 totals[i] += np.dot(weights[i, start:stop], row)
     return totals
+
+
+def _boolean_mask_lc_value(spec, u):
+    """The surrogate value as the loss layer wrote it before flat-index
+    selection: the core everywhere, then each tail through an N-D boolean
+    gather and assignment, with the base's closed forms spelled out here."""
+    base, tau = spec.base, spec.tau
+    if base.kind == "logistic":
+        phi = lambda v: np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+    elif base.kind == "exponential":
+        phi = np.exp
+    else:
+        phi = lambda v: base.a * v + v**4 / 12.0 + base.offset
+    out = np.negative(u)
+    out += tau
+    out += spec.intercept
+    right = u > tau
+    if np.count_nonzero(right):
+        out[right] = phi(tau - u[right]) / base.slope_at_zero
+    if spec.side == SYMMETRIC:
+        left = u < -tau
+        if np.count_nonzero(left):
+            out[left] = phi(-tau - u[left]) / base.slope_at_zero + 2.0 * tau
+    return out
+
+
+def _per_instance_sum_loss(spec, model, x, y):
+    """One instance's sum loss as it was computed before similarity counts
+    and flat-index tails: mean-of-mask weights and the boolean-mask kernel
+    over the whole ``(m, m)`` margin matrix, one anchor block."""
+    seqs = enumerate_sequences(model.n_labels, x.shape[0])
+    scores = _chain_scores(model, x, seqs)
+    weights = 1.0 - np.mean(seqs != y, axis=-1)
+    phi0 = _boolean_mask_lc_value(spec, np.zeros(1))[0]
+    inner = _boolean_mask_lc_value(spec, scores[:, None] - scores[None, :]).sum(axis=1) - phi0
+    return 0.0 + np.dot(weights, inner)
+
+
+_SUM_LOSS_SPECS = [
+    LinearCoreSpec(base, side=side)
+    for base in (
+        BaseLoss.logistic(), BaseLoss.exponential(), BaseLoss.quartic_linear(a=0.7, offset=0.3)
+    )
+    for side in (SYMMETRIC, ONE_SIDED)
+]
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+@pytest.mark.parametrize("n_labels", [2, 3, 5])
+def test_batched_sum_loss_rows_match_the_boolean_mask_formula_bitwise(n_labels, length):
+    """Each batched row has the bits of the per-instance formula, for both
+    sides and all three bases; every instance has margins in both tails."""
+    rng = np.random.default_rng([35, n_labels, length])
+    # Label rows 4 apart per feature and inputs of mean 1 put margins in both tails.
+    unary = rng.normal(size=(n_labels, 3)) + 4.0 * np.arange(n_labels)[:, None]
+    model = ChainModel(unary, rng.normal(size=(n_labels, n_labels)))
+    x = rng.normal(loc=1.0, size=(3, length, 3))
+    y = rng.integers(0, n_labels, size=(3, length))
+    scores = _chain_scores(model, x, enumerate_sequences(n_labels, length))
+    assert (scores.max(axis=1) - scores.min(axis=1) > 2.0).all()
+    for spec in _SUM_LOSS_SPECS:
+        values = structured_sum_loss_exact(spec, model, x, y)
+        want = [_per_instance_sum_loss(spec, model, x[k], y[k]) for k in range(3)]
+        assert values.tobytes() == np.array(want).tobytes(), spec
 
 
 class TestBatchedSumLoss:
