@@ -34,9 +34,9 @@ from .multiclass import _row_starts
 from .structured import (
     _CACHE_ELEMENTS,
     ChainModel,
-    _aligned_empty,
     _chain_scores,
     _check_instance,
+    _empty_for,
     feature_difference,
 )
 
@@ -51,7 +51,9 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _unary_table(model: ChainModel, x: np.ndarray) -> np.ndarray:
-    return x @ model.unary.T  # (L, Y)
+    """The one unary-table builder: ``(L, Y)`` scores of ``(L, d)`` inputs,
+    or ``(N, L, Y)`` of ``(N, L, d)``, each row the bits of its own call."""
+    return x @ model.unary.T
 
 
 @lru_cache(maxsize=16)
@@ -77,20 +79,18 @@ def _viterbi(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.
     come back with flat takes.  Each position runs over the tiles of
     :func:`_viterbi_tiles`, so a candidate block never outgrows the cache
     budget shared with the exact sum loss; the chosen values go to a second
-    buffer, and the unary term is added once the last tile is done.  Large
-    calls add into a cache-line-aligned candidate buffer.  Runs of one
-    instance's ``to`` rows also get aligned transition rows and add from one
-    aligned ``block`` that holds the instance's ``dp`` row in every row,
-    copied once per position.  A tile only regroups whole rows and a copy
-    moves no bit, so no addition and no tie-break moves, and a row decodes
-    the same bits alone or in any batch.  Callers validate first.
+    buffer, and the unary term is added once the last tile is done.  By
+    :func:`_empty_for`, large calls add into an aligned candidate buffer.
+    Runs of one instance's ``to`` rows also get aligned transition rows and
+    add from one aligned ``block`` that holds the instance's ``dp`` row in
+    every row, copied once per position.  A tile only regroups whole rows
+    and a copy moves no bit, so no addition and no tie-break moves, and a
+    row decodes the same bits alone or in any batch.  Callers validate first.
     """
     count, length, n = unary.shape
     bounds = _viterbi_tiles(count, n)
     i0, i1, t0, t1 = bounds[0]  # the largest tile
-    # A call that adds a cache budget of candidates or more writes them to
-    # aligned buffers; smaller calls skip the microseconds an address costs.
-    empty = _aligned_empty if (length - 1) * count * n * n >= _CACHE_ELEMENTS else np.empty
+    empty = _empty_for((length - 1) * count * n * n)
     cand = empty((i1 - i0, t1 - t0, n))  # (instance, to, from)
     runs = t1 < n  # tiles are runs of one instance's rows
     if runs:  # block: the current instance's dp row in each of its rows
@@ -174,37 +174,22 @@ class Marginals:
     log_partition: float
 
 
-@dataclass(frozen=True)
-class _ScaledChain:
-    """Scaled forward-backward quantities; edge posteriors are
-    ``alpha[j, a] * kernel[a, b] * edge_weights[j, b]``."""
-
-    alpha: np.ndarray  # (L, Y), rows sum to one
-    beta: np.ndarray  # (L, Y), sum(alpha[j] * beta[j]) == 1
-    kernel: np.ndarray  # (Y, Y), exp(T - max T)
-    edge_weights: np.ndarray  # (L-1, Y), psi[j+1] * beta[j+1] / c[j+1]
-    log_partition: float
-
-
-def _edge_block(length: int, n: int) -> np.ndarray | None:
-    """Out buffer of a CRF ``(Y, Y)`` block: aligned by :func:`_viterbi`'s
-    size rule, else ``None`` (numpy allocates; small calls skip an address)."""
-    return _aligned_empty((n, n)) if (length - 1) * n * n >= _CACHE_ELEMENTS else None
-
-
 def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple:
-    """The one forward recursion, over ``(N, L, Y)`` unary tables or one
-    ``(L, Y)`` table: ``(inside, alpha, kernel, psi, scale, log_partition)``.
+    """The one scaled forward recursion, over ``(N, L, Y)`` unary tables or
+    one ``(L, Y)`` table: ``(inside, alpha, kernel, psi, scale,
+    log_partition)``.
 
     Tables whose potential range ``R`` is too wide (or not a number) are
-    marked off in ``inside`` and dropped before the recursion runs; the other
-    outputs hold the tables kept, in order.  Each position is one stacked
-    ``(N, 1, Y) @ (Y, Y)`` matmul, a BLAS matrix-vector product per row
-    (``np.dot`` for one table: the same product without matmul's set-up),
-    and every sum runs along a row's own contiguous axis, so each row keeps
-    the bits of its table alone.  A 2-D ``(N, Y) @ (Y, Y)`` GEMM would not.
+    marked off in ``inside``, for the caller to send to the log-space
+    recursion, and dropped; the other outputs hold the tables kept, in
+    order.  Each position is one stacked ``(N, 1, Y) @ (Y, Y)`` matmul, a
+    BLAS matrix-vector product per row (``np.dot`` for one table: the same
+    product without matmul's set-up), and every sum runs along a row's own
+    contiguous axis, so each row keeps the bits of its table alone.  A 2-D
+    ``(N, Y) @ (Y, Y)`` GEMM would not.
     """
     length, n = unary.shape[-2:]
+    count = unary.shape[0] if unary.ndim == 3 else 1
     t_shift = np.maximum.reduce(transition, axis=None)
     u_shift = np.maximum.reduce(unary, axis=-1)
     spread = np.maximum.reduce(u_shift - np.minimum.reduce(unary, axis=-1), axis=-1)
@@ -212,7 +197,7 @@ def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple:
     inside = spread <= _SCALED_RANGE_LIMIT
     if np.count_nonzero(inside) < inside.size:
         unary, u_shift = unary[inside], u_shift[inside]
-    kernel = np.subtract(transition, t_shift, out=_edge_block(length, n))
+    kernel = np.subtract(transition, t_shift, out=_empty_for((length - 1) * count * n * n)((n, n)))
     np.exp(kernel, out=kernel)
     psi = np.exp(unary - u_shift[..., None])
 
@@ -238,11 +223,15 @@ def _scaled_forward(unary: np.ndarray, transition: np.ndarray) -> tuple:
     return inside, alpha, kernel, psi, scale, log_partition
 
 
-def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _ScaledChain | None:
-    """Scaled recursion, or ``None`` when the potential range is too wide for it."""
-    inside, alpha, kernel, psi, scale, log_partition = _scaled_forward(unary, transition)
-    if not inside:
-        return None
+def _scaled_backward(alpha: np.ndarray, kernel: np.ndarray, psi: np.ndarray, scale: np.ndarray) -> tuple:
+    """The one scaled backward recursion, over one table's
+    :func:`_scaled_forward` outputs: ``(beta, edge_weights)``.
+
+    ``beta[j]`` is divided by the forward scales, so ``sum(alpha[j] *
+    beta[j]) == 1`` and ``alpha * beta`` are the position marginals; with
+    ``edge_weights[j] = psi[j+1] * beta[j+1] / c[j+1]``, edge ``j``'s
+    posterior is ``alpha[j, a] * kernel[a, b] * edge_weights[j, b]``.
+    """
     edge_weights = psi[1:] / scale[1:, None]
     beta = np.empty_like(alpha)
     beta[-1] = 1.0
@@ -250,56 +239,58 @@ def _scaled_forward_backward(unary: np.ndarray, transition: np.ndarray) -> _Scal
         weights = edge_weights[j]
         weights *= beta[j + 1]
         np.dot(kernel, weights, out=beta[j])
-    return _ScaledChain(alpha, beta, kernel, edge_weights, float(log_partition))
+    return beta, edge_weights
+
+
+def _log_space_forward(unary: np.ndarray, transition: np.ndarray) -> tuple:
+    """The one log-space forward recursion, over one ``(L, Y)`` table:
+    ``(alpha, log_partition)``.  Max-shifted log-sum-exp cannot overflow at
+    any potential range, so it serves the tables past the scaled range."""
+    alpha = np.empty_like(unary)
+    alpha[0] = unary[0]
+    for j in range(1, unary.shape[0]):
+        alpha[j] = unary[j] + _logsumexp(alpha[j - 1][:, None] + transition, axis=0)
+    return alpha, float(_logsumexp(alpha[-1], axis=0))
 
 
 def _log_space_forward_backward(unary: np.ndarray, transition: np.ndarray) -> Marginals:
-    """Max-shifted log-sum-exp recursion for potentials beyond the scaled range."""
+    """Marginals of one table past the scaled range: :func:`_log_space_forward`
+    and the log-space backward recursion."""
     length, n = unary.shape
-    alpha = np.empty_like(unary)
-    alpha[0] = unary[0]
-    for j in range(1, length):
-        alpha[j] = unary[j] + _logsumexp(alpha[j - 1][:, None] + transition, axis=0)
-    log_partition = float(_logsumexp(alpha[-1], axis=0))
+    alpha, log_partition = _log_space_forward(unary, transition)
     beta = np.zeros((length, n))
     for j in range(length - 2, -1, -1):
         beta[j] = _logsumexp(transition + (unary[j + 1] + beta[j + 1])[None, :], axis=1)
 
     unary_marginals = np.exp(alpha + beta - log_partition)
-    transition_marginals = np.empty((max(length - 1, 0), n, n))
-    for j in range(length - 1):
-        log_edge = (
-            alpha[j][:, None]
-            + transition
-            + (unary[j + 1] + beta[j + 1])[None, :]
-            - log_partition
-        )
-        transition_marginals[j] = np.exp(log_edge)
-    return Marginals(unary_marginals, transition_marginals, log_partition)
+    log_edges = alpha[:-1, :, None] + transition + (unary[1:] + beta[1:])[:, None, :] - log_partition
+    return Marginals(unary_marginals, np.exp(log_edges), log_partition)
 
 
 def forward_backward(model: ChainModel, x) -> Marginals:
     x, _ = _check_instance(model, x)
     unary = _unary_table(model, x)
-    chain = _scaled_forward_backward(unary, model.transition)
-    if chain is None:
+    inside, alpha, kernel, psi, scale, log_partition = _scaled_forward(unary, model.transition)
+    if not inside:
         return _log_space_forward_backward(unary, model.transition)
-    edges = chain.alpha[:-1, :, None] * chain.kernel
-    edges *= chain.edge_weights[:, None, :]
-    return Marginals(chain.alpha * chain.beta, edges, chain.log_partition)
+    beta, edge_weights = _scaled_backward(alpha, kernel, psi, scale)
+    edges = alpha[:-1, :, None] * kernel
+    edges *= edge_weights[:, None, :]
+    return Marginals(alpha * beta, edges, float(log_partition))
 
 
 def _crf_nll(model: ChainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Unchecked CRF negative log-likelihoods ``log Z - score(y)`` of ``(N,
     L, d)`` inputs and ``(N, L)`` labels, from one batched forward pass:
     ``(N,)``, each row the bits of its instance alone.  Rows past the scaled
-    range take ``log Z`` from the log-space recursion.  Callers validate first."""
-    unary = xs @ model.unary.T  # (N, L, Y), each row bitwise x @ unary.T
+    range take ``log Z`` from the log-space forward recursion alone.  Callers
+    validate first."""
+    unary = _unary_table(model, xs)
     inside, *_, log_partition = _scaled_forward(unary, model.transition)
     log_z = np.empty(len(unary))
     log_z[inside] = log_partition
     for i in np.flatnonzero(~inside):
-        log_z[i] = _log_space_forward_backward(unary[i], model.transition).log_partition
+        log_z[i] = _log_space_forward(unary[i], model.transition)[1]
     return log_z - _chain_scores(model, xs, ys[:, None])[:, 0]
 
 
@@ -311,24 +302,24 @@ def _crf_gradient_blocks(model: ChainModel, x: np.ndarray, y: np.ndarray) -> tup
     observed one.  The expected transition counts ``sum_j alpha_j[a] E[a,
     b] W_j[b]``, with ``W_j = psi_{j+1} beta_{j+1} / c_{j+1}``, come from
     one matrix product scaled in place, so the per-edge posterior tensor is
-    never formed; large calls write it, like ``E``, to an aligned buffer.
+    never formed; it goes, like ``E``, to :func:`_empty_for` scratch.
     The observed unary block is summed as
     :func:`joint_feature` sums it and each observed transition cell's count
     is subtracted once, so the blocks equal the dense ``expected -
     joint_feature(y)`` bit for bit.  Callers validate first.
     """
     unary = _unary_table(model, x)
-    chain = _scaled_forward_backward(unary, model.transition)
-    if chain is None:
+    inside, alpha, kernel, psi, scale, log_partition = _scaled_forward(unary, model.transition)
+    if inside:
+        beta, edge_weights = _scaled_backward(alpha, kernel, psi, scale)
+        unary_marginals = alpha * beta
+        out = _empty_for((len(alpha) - 1) * kernel.size)(kernel.shape)
+        grad_transition = np.matmul(alpha[:-1].T, edge_weights, out=out)
+        grad_transition *= kernel
+    else:
         marg = _log_space_forward_backward(unary, model.transition)
         log_partition, unary_marginals = marg.log_partition, marg.unary_marginals
         grad_transition = marg.transition_marginals.sum(axis=0)
-    else:
-        log_partition, unary_marginals = chain.log_partition, chain.alpha * chain.beta
-        grad_transition = np.matmul(
-            chain.alpha[:-1].T, chain.edge_weights, out=_edge_block(*chain.alpha.shape)
-        )
-        grad_transition *= chain.kernel
     nll = log_partition - _chain_scores(model, x, y[None])[0]
 
     grad_unary = unary_marginals.T @ x  # (Y, d)

@@ -58,6 +58,13 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
+def _empty_for(cells: int):
+    """The one allocation rule of the chain recursions: a call over ``(L - 1)
+    * N * Y^2`` cells of ``N`` tables takes :func:`_aligned_empty` scratch
+    from the cache budget on, else ``np.empty`` (an address costs 1-2 µs)."""
+    return _aligned_empty if cells >= _CACHE_ELEMENTS else np.empty
+
+
 @dataclass(frozen=True)
 class ChainModel:
     """Linear-chain sequence scorer: unary weights (Y, d) + transitions (Y, Y)."""

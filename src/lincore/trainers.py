@@ -37,6 +37,7 @@ from .errors import DomainError, EnumerationLimitError, TrainingDivergedError
 from .inference import (
     _crf_gradient_blocks,
     _crf_nll,
+    _unary_table,
     _viterbi,
     hinge_violation,
     ssvm_loss_and_subgradient,
@@ -412,7 +413,7 @@ def test_hamming_error(model: ChainModel, instances) -> float:
         return float("nan")
     errors = np.empty(len(instances))
     for positions in _length_groups(instances):
-        paths = _viterbi(_stack(instances, positions, 0) @ model.unary.T, model.transition)[0]
+        paths = _viterbi(_unary_table(model, _stack(instances, positions, 0)), model.transition)[0]
         errors[positions] = np.mean(paths != _stack(instances, positions, 1), axis=1)
     return float(np.mean(errors))
 

@@ -401,9 +401,12 @@ def _enumerated_posteriors(model, x):
 
 
 def _assert_matches_enumeration(model, x):
+    """Forward-backward, and the log-space forward pass alone, at any range."""
     logz, unary, edges = _enumerated_posteriors(model, x)
     marg = forward_backward(model, x)
     assert marg.log_partition == pytest.approx(logz, abs=1e-8)
+    table = x @ model.unary.T
+    assert inference._log_space_forward(table, model.transition)[1] == pytest.approx(logz, abs=1e-8)
     np.testing.assert_allclose(marg.unary_marginals, unary, rtol=0, atol=1e-10)
     np.testing.assert_allclose(marg.transition_marginals, edges, rtol=0, atol=1e-10)
 
@@ -457,6 +460,7 @@ def test_scaled_and_log_space_recursions_agree():
         assert _potential_range(unary, model.transition) < inference._SCALED_RANGE_LIMIT
         scaled = forward_backward(model, x)
         exact = inference._log_space_forward_backward(unary, model.transition)
+        _same_bits(inference._log_space_forward(unary, model.transition)[1], exact.log_partition)
         assert scaled.log_partition == pytest.approx(exact.log_partition, abs=1e-10)
         np.testing.assert_allclose(scaled.unary_marginals, exact.unary_marginals, rtol=0, atol=1e-10)
         np.testing.assert_allclose(
@@ -703,7 +707,35 @@ def test_batched_forward_drops_rows_past_the_scaled_range():
         if i in far:
             log_space = inference._log_space_forward_backward(unary[i], model.transition)
             _same_bits(nll[i], log_space.log_partition - sequence_score(model, xs[i], ys[i]))
+            _same_bits(inference._log_space_forward(unary[i], model.transition)[1], log_space.log_partition)
         _same_bits(nll[i], crf_nll_and_gradient(model, xs[i], ys[i])[0])
+
+
+def test_crf_objective_past_the_scaled_range_runs_the_forward_pass_alone(monkeypatch):
+    """A row past the scaled range takes ``log Z`` from one log-space forward
+    pass: no backward recursion and no ``(L - 1, Y, Y)`` edge tensor."""
+    rng = np.random.default_rng(32)
+    n, length = 5, 6
+    model = ChainModel(rng.normal(size=(n, 3)), rng.normal(size=(n, n)))
+    xs = rng.normal(size=(4, length, 3))
+    xs[2] *= 1e4
+    ys = rng.integers(0, n, size=(4, length))
+    want = [crf_nll_and_gradient(model, x, y)[0] for x, y in zip(xs, ys)]
+    calls = {"_log_space_forward": 0, "_logsumexp": 0}
+    for name in calls:
+        real = getattr(inference, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, spy)
+    for name in ("_log_space_forward_backward", "_scaled_backward"):
+        monkeypatch.setattr(inference, name, lambda *args: pytest.fail(f"{name} ran"))
+    nll = inference._crf_nll(model, xs, ys)
+    assert calls == {"_log_space_forward": 1, "_logsumexp": length}
+    for got, value in zip(nll, want):
+        _same_bits(got, value)
 
 
 def test_ssvm_evaluation_checks_each_instance_once(monkeypatch):

@@ -528,14 +528,15 @@ def _dense_reference_step(model, x, y, config, rng):
     elif config.objective == "crf":
         # Expected minus observed joint feature, both dense and flat.
         unary = x @ model.unary.T
-        chain = inference._scaled_forward_backward(unary, model.transition)
-        if chain is None:
+        inside, alpha, kernel, psi, scale, _ = inference._scaled_forward(unary, model.transition)
+        if inside:
+            beta, edge_weights = inference._scaled_backward(alpha, kernel, psi, scale)
+            unary_marginals = alpha * beta
+            expected_transition = kernel * (alpha[:-1].T @ edge_weights)
+        else:
             marg = inference._log_space_forward_backward(unary, model.transition)
             unary_marginals = marg.unary_marginals
             expected_transition = marg.transition_marginals.sum(axis=0)
-        else:
-            unary_marginals = chain.alpha * chain.beta
-            expected_transition = chain.kernel * (chain.alpha[:-1].T @ chain.edge_weights)
         expected = np.concatenate([(unary_marginals.T @ x).ravel(), expected_transition.ravel()])
         grad = expected - joint_feature(n, x, y)
     else:
