@@ -4,6 +4,10 @@ Every guard in the library raises one of these types so that callers can
 distinguish bad inputs from numeric trouble without string matching.
 """
 
+import math
+
+import numpy as np
+
 
 class LincoreError(Exception):
     """Base class for all library errors."""
@@ -19,6 +23,29 @@ class EvaluationOverflowError(LincoreError, OverflowError):
     Raised instead of silently returning ``inf`` so that benchmarks and
     oracles never compare against poisoned values.
     """
+
+
+class _OverflowGuard(np.errstate):
+    """The numeric API's one overflow rule for the functions that sum
+    scores: inside, a float overflow or invalid operation raises
+    ``EvaluationOverflowError`` at once, instead of a numpy warning and an
+    inf or a NaN that flows on.  ``einsum`` and ``bincount`` do not report
+    them, so what they build goes through :func:`_finite`."""
+
+    def __init__(self) -> None:
+        super().__init__(over="raise", invalid="raise")
+
+    def __exit__(self, kind, error, trace) -> None:
+        super().__exit__(kind, error, trace)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise EvaluationOverflowError(f"a result leaves the float64 range: {error}") from error
+
+
+def _finite(value):
+    """``value``, if every entry is finite; else ``EvaluationOverflowError``."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise EvaluationOverflowError("a result leaves the float64 range")
+    return value
 
 
 class EnumerationLimitError(LincoreError, ValueError):

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import _finite, _OverflowGuard
 from .multiclass import _row_starts
 from .structured import (
     _CACHE_ELEMENTS,
@@ -142,7 +143,8 @@ def _viterbi(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.
 def viterbi(model: ChainModel, x) -> tuple[np.ndarray, float]:
     """Highest-scoring label sequence and its score."""
     x, _ = _check_instance(model, x)
-    paths, scores = _viterbi(_unary_table(model, x)[None], model.transition)
+    with _OverflowGuard():
+        paths, scores = _viterbi(_unary_table(model, x)[None], model.transition)
     return paths[0], float(scores[0])
 
 
@@ -153,7 +155,8 @@ def loss_augmented_viterbi(model: ChainModel, x, y_true) -> tuple[np.ndarray, fl
     the unary score of every label that disagrees with the target.
     """
     x, y_true = _check_instance(model, x, y_true)
-    return _loss_augmented_viterbi(model, x, y_true)
+    with _OverflowGuard():
+        return _loss_augmented_viterbi(model, x, y_true)
 
 
 def _loss_augmented_viterbi(model: ChainModel, x: np.ndarray, y_true: np.ndarray) -> tuple:
@@ -269,14 +272,15 @@ def _log_space_forward_backward(unary: np.ndarray, transition: np.ndarray) -> Ma
 
 def forward_backward(model: ChainModel, x) -> Marginals:
     x, _ = _check_instance(model, x)
-    unary = _unary_table(model, x)
-    inside, alpha, kernel, psi, scale, log_partition = _scaled_forward(unary, model.transition)
-    if not inside:
-        return _log_space_forward_backward(unary, model.transition)
-    beta, edge_weights = _scaled_backward(alpha, kernel, psi, scale)
-    edges = alpha[:-1, :, None] * kernel
-    edges *= edge_weights[:, None, :]
-    return Marginals(alpha * beta, edges, float(log_partition))
+    with _OverflowGuard():
+        unary = _unary_table(model, x)
+        inside, alpha, kernel, psi, scale, log_partition = _scaled_forward(unary, model.transition)
+        if not inside:
+            return _log_space_forward_backward(unary, model.transition)
+        beta, edge_weights = _scaled_backward(alpha, kernel, psi, scale)
+        edges = alpha[:-1, :, None] * kernel
+        edges *= edge_weights[:, None, :]
+        return Marginals(alpha * beta, edges, float(log_partition))
 
 
 def _crf_nll(model: ChainModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -338,8 +342,9 @@ def crf_nll_and_gradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of ``y`` and its exact flat-weight gradient
     (see :func:`_crf_gradient_blocks`)."""
     x, y = _check_instance(model, x, y)
-    nll, grad_unary, grad_transition = _crf_gradient_blocks(model, x, y)
-    return nll, np.concatenate([grad_unary.ravel(), grad_transition.ravel()])
+    with _OverflowGuard():
+        nll, grad_unary, grad_transition = _crf_gradient_blocks(model, x, y)
+    return _finite(nll), np.concatenate([grad_unary.ravel(), grad_transition.ravel()])
 
 
 def hinge_violation(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
@@ -364,9 +369,10 @@ def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple[float, np.ndarra
     branch is chosen, so the subgradient is zero there.
     """
     x, y = _check_instance(model, x, y)
-    competitor, augmented = _loss_augmented_viterbi(model, x, y)
-    violation = float(augmented - _chain_scores(model, x, y[None])[0])
-    dim = model.n_labels * model.dim + model.n_labels**2
-    if violation <= 0.0:
-        return float(max(violation, 0.0)), np.zeros(dim)
-    return float(violation), feature_difference(model.n_labels, x, competitor, y).dense()
+    with _OverflowGuard():
+        competitor, augmented = _loss_augmented_viterbi(model, x, y)
+        violation = float(_finite(augmented - _chain_scores(model, x, y[None])[0]))
+        dim = model.n_labels * model.dim + model.n_labels**2
+        if violation <= 0.0:
+            return float(max(violation, 0.0)), np.zeros(dim)
+        return float(violation), _finite(feature_difference(model.n_labels, x, competitor, y).dense())

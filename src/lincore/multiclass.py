@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .consistency import weighted_margin_infimum
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError, EnumerationLimitError, _OverflowGuard
 from .losses import LinearCoreSpec, _lc, lc_value, linear_core_margin_loss
 
 MAX_ORACLE_LABELS = 8
@@ -201,11 +201,13 @@ def _surrogate_regret(spec, weights, scores):
 
 
 def mc_sum_loss(spec: LinearCoreSpec, scores, y):
-    return _batched(_sum_loss, scores, y, spec)
+    with _OverflowGuard():
+        return _batched(_sum_loss, scores, y, spec)
 
 
 def mc_sum_loss_gradient(spec: LinearCoreSpec, scores, y) -> np.ndarray:
-    return _batched(_sum_loss_gradient, scores, y, spec)
+    with _OverflowGuard():
+        return _batched(_sum_loss_gradient, scores, y, spec)
 
 
 def ce_loss(scores, y):

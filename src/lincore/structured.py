@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError, EnumerationLimitError, _finite, _OverflowGuard
 from .losses import LinearCoreSpec, lc_derivative, lc_value
 from .multiclass import _check_labels, _oracle_batch, _surrogate_regret, _unbatch
 
@@ -180,7 +180,8 @@ def _chain_scores(model: ChainModel, x: np.ndarray, sequences: np.ndarray) -> np
 
 def sequence_score(model: ChainModel, x, y) -> float:
     x, y = _check_instance(model, x, y)
-    return float(_chain_scores(model, x, y[None])[0])
+    with _OverflowGuard():
+        return float(_finite(_chain_scores(model, x, y[None])[0]))
 
 
 def joint_feature(n_labels: int, x, y) -> np.ndarray:
@@ -310,7 +311,8 @@ def all_sequence_scores(model: ChainModel, x, sequences) -> np.ndarray:
     sequences = _check_labels(sequences, model.n_labels)
     if sequences.ndim != 2 or sequences.shape[1] != x.shape[0]:
         raise DomainError("sequences must be a (count, length) matrix matching the input length")
-    return _chain_scores(model, x, sequences)
+    with _OverflowGuard():
+        return _finite(_chain_scores(model, x, sequences))
 
 
 def similarity_weights(sequences: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -358,21 +360,22 @@ def structured_sum_loss_exact(spec: LinearCoreSpec, model: ChainModel, x, y):
     """
     x, y, batched = _check_batch(model, x, y)
     seqs = enumerate_sequences(model.n_labels, x.shape[-2])
-    scores = np.atleast_2d(_chain_scores(model, x, seqs))
-    weights = np.atleast_2d(similarity_weights(seqs, y))
-    count, m = scores.shape
-    totals = np.zeros(count)
-    phi0 = lc_value(spec, 0.0)
-    anchors = max(1, _CHUNK_ELEMENTS // m)
-    for start in range(0, m, anchors):
-        stop = min(start + anchors, m)
-        rows = max(1, _CACHE_ELEMENTS // ((stop - start) * m))
-        for first in range(0, count, rows):
-            block = scores[first : first + rows]
-            margins = block[:, start:stop, None] - block[:, None, :]
-            inner = lc_value(spec, margins).sum(axis=2) - phi0
-            for i, row in enumerate(inner, first):
-                totals[i] += np.dot(weights[i, start:stop], row)
+    with _OverflowGuard():
+        scores = _finite(np.atleast_2d(_chain_scores(model, x, seqs)))
+        weights = np.atleast_2d(similarity_weights(seqs, y))
+        count, m = scores.shape
+        totals = np.zeros(count)
+        phi0 = lc_value(spec, 0.0)
+        anchors = max(1, _CHUNK_ELEMENTS // m)
+        for start in range(0, m, anchors):
+            stop = min(start + anchors, m)
+            rows = max(1, _CACHE_ELEMENTS // ((stop - start) * m))
+            for first in range(0, count, rows):
+                block = scores[first : first + rows]
+                margins = block[:, start:stop, None] - block[:, None, :]
+                inner = lc_value(spec, margins).sum(axis=2) - phi0
+                for i, row in enumerate(inner, first):
+                    totals[i] += np.dot(weights[i, start:stop], row)
     return totals if batched else float(totals[0])
 
 
@@ -381,25 +384,26 @@ def structured_sum_loss_gradient_exact(spec: LinearCoreSpec, model: ChainModel, 
     x, y = _check_instance(model, x, y)
     n = model.n_labels
     seqs = enumerate_sequences(n, x.shape[0])
-    scores = _chain_scores(model, x, seqs)
-    weights = similarity_weights(seqs, y)
+    with _OverflowGuard():
+        scores = _finite(_chain_scores(model, x, seqs))
+        weights = similarity_weights(seqs, y)
 
-    # Each ordered pair (y', y'') with y' != y'' contributes
-    # weights[y'] * phi'(score' - score'') * (feature' - feature'').
-    # Accumulate per-sequence coefficients: alpha_k = (row sums) - (column sums).
-    m = scores.size
-    alpha = np.zeros(m)
-    chunk = max(1, _CHUNK_ELEMENTS // m)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        margins = scores[start:stop, None] - scores[None, :]
-        slopes = lc_derivative(spec, margins)
-        idx = np.arange(start, stop)
-        slopes[idx - start, idx] = 0.0
-        w_rows = weights[start:stop, None] * slopes
-        alpha[start:stop] += w_rows.sum(axis=1)
-        alpha -= w_rows.sum(axis=0)
-    return _feature_delta(n, x, seqs, alpha).dense()
+        # Each ordered pair (y', y'') with y' != y'' contributes
+        # weights[y'] * phi'(score' - score'') * (feature' - feature'').
+        # Accumulate per-sequence coefficients: alpha_k = (row sums) - (column sums).
+        m = scores.size
+        alpha = np.zeros(m)
+        chunk = max(1, _CHUNK_ELEMENTS // m)
+        for start in range(0, m, chunk):
+            stop = min(start + chunk, m)
+            margins = scores[start:stop, None] - scores[None, :]
+            slopes = lc_derivative(spec, margins)
+            idx = np.arange(start, stop)
+            slopes[idx - start, idx] = 0.0
+            w_rows = weights[start:stop, None] * slopes
+            alpha[start:stop] += w_rows.sum(axis=1)
+            alpha -= w_rows.sum(axis=0)
+        return _finite(_feature_delta(n, x, seqs, alpha).dense())
 
 
 def validate_loss_matrix(ell) -> np.ndarray:
