@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import lincore
+import lincore.inference
 import lincore.losses
 import lincore.minimize
 import lincore.trainers
@@ -235,3 +236,27 @@ def test_the_sum_loss_monitor_calls_lc_value_once_per_margin_block(
     assert calls[0] == ()
     if (n_labels, length, count) == (3, 4, 64):
         assert len(calls) == 17
+
+
+def test_a_traced_run_gives_every_library_reached_row_a_value():
+    """A traced run reports ``correct: false`` when a per-layer metric has
+    no value, and some traced functions have only library callers: the
+    SSVM step decodes through ``loss_augmented_viterbi``, and evaluation
+    calls ``ssvm_loss_and_subgradient`` and ``structured_sum_loss_exact``.
+    One tiny ``sgd_train`` per objective, with evaluation on, fills them."""
+    tracing, objectives = _load_tracing(), ("lincore", "lincore_ksample", "ssvm", "crf")
+    data = lincore.generate_hmm_split(lincore.HmmSpec(length=4, n_labels=3, dim=5, n_sequences=6), 2)
+    untraced = lincore.sgd_train, lincore.inference.loss_augmented_viterbi
+    with tracing.Tracer() as tracer:
+        for objective in objectives:
+            config = TrainConfig(objective=objective, iterations=2, eval_interval=1, eval_max_instances=3)
+            lincore.sgd_train(data, config)
+    assert (lincore.sgd_train, lincore.inference.loss_augmented_viterbi) == untraced
+    metrics = tracing.layer_metrics(tracer)
+    rows = [
+        "inference.loss_augmented_viterbi.us_per_call",
+        "inference.ssvm_loss_and_subgradient.us_per_call",
+        "structured.structured_sum_loss_exact.us_per_call",
+    ] + [f"trainers.sgd_step.us_per_call.{objective}.Y3" for objective in objectives]
+    for row in rows:
+        assert np.isfinite(metrics[row]), row
