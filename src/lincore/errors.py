@@ -43,7 +43,11 @@ class _OverflowGuard(np.errstate):
 
 def _finite(value):
     """``value``, if every entry is finite; else ``EvaluationOverflowError``."""
-    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+    if isinstance(value, float):
+        finite = math.isfinite(value)
+    else:  # ``count_nonzero`` tests a small mask faster than ``.all()``
+        finite = np.count_nonzero(np.isfinite(value)) == value.size
+    if not finite:
         raise EvaluationOverflowError("a result leaves the float64 range")
     return value
 

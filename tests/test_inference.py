@@ -731,7 +731,7 @@ def test_crf_objective_past_the_scaled_range_runs_the_forward_pass_alone(monkeyp
 
         monkeypatch.setattr(inference, name, spy)
     for name in ("_log_space_forward_backward", "_scaled_backward"):
-        monkeypatch.setattr(inference, name, lambda *args: pytest.fail(f"{name} ran"))
+        monkeypatch.setattr(inference, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
     nll = inference._crf_nll(model, xs, ys)
     assert calls == {"_log_space_forward": 1, "_logsumexp": length}
     for got, value in zip(nll, want):
