@@ -36,9 +36,10 @@ from .structured import (
     _CACHE_ELEMENTS,
     ChainModel,
     _chain_scores,
+    _check_batch,
     _check_instance,
     _empty_for,
-    feature_difference,
+    _feature_delta,
 )
 
 # Potential range (nats) up to which the scaled recursion stays inside the
@@ -149,23 +150,27 @@ def viterbi(model: ChainModel, x) -> tuple[np.ndarray, float]:
 
 
 def loss_augmented_viterbi(model: ChainModel, x, y_true) -> tuple[np.ndarray, float]:
-    """Maximize sequence score plus Hamming loss against ``y_true``.
-
-    Hamming decomposes per position, so the augmentation just adds 1/L to
-    the unary score of every label that disagrees with the target.
-    """
+    """Maximize sequence score plus Hamming loss against ``y_true``: the
+    ``N = 1`` row of :func:`_loss_augmented_viterbi`."""
     x, y_true = _check_instance(model, x, y_true)
     with _OverflowGuard():
-        return _loss_augmented_viterbi(model, x, y_true)
-
-
-def _loss_augmented_viterbi(model: ChainModel, x: np.ndarray, y_true: np.ndarray) -> tuple:
-    """Unchecked :func:`loss_augmented_viterbi`.  Callers validate first."""
-    length = x.shape[0]
-    unary = _unary_table(model, x) + 1.0 / length
-    unary[np.arange(length), y_true] -= 1.0 / length
-    paths, scores = _viterbi(unary[None], model.transition)
+        paths, scores = _loss_augmented_viterbi(model, x[None], y_true[None])
     return paths[0], float(scores[0])
+
+
+def _loss_augmented_viterbi(model: ChainModel, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The one loss-augmented decode: best paths ``(N, L)`` and scores
+    ``(N,)`` of ``(N, L, d)`` inputs against ``(N, L)`` targets, each row
+    the bits of its own call.  Hamming decomposes per position, so the
+    augmentation adds 1/L to the unary score of every label that disagrees
+    with the target, in one table and one :func:`_viterbi`.  Callers
+    validate first."""
+    count, length = ys.shape
+    unary = _unary_table(model, xs)
+    unary += 1.0 / length
+    n = unary.shape[2]  # a flat index costs about half a 3-D fancy one
+    unary.reshape(-1)[np.arange(0, count * length * n, n) + ys.ravel()] -= 1.0 / length
+    return _viterbi(unary, model.transition)
 
 
 @dataclass(frozen=True)
@@ -353,26 +358,43 @@ def hinge_violation(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
     ``x`` and ``y`` are the arrays :func:`_check_instance` returns.  The SSVM
     step keeps the checked :func:`loss_augmented_viterbi`, re-check and all,
     because the step is that traced function's only caller in the
-    benchmark's workloads (evaluation decodes unchecked): its calls and
-    time per call then measure the step's decode, and an unchecked call
-    here would leave that row empty.
+    benchmark's workloads (evaluation decodes through the batched kernel):
+    its calls and time per call then measure the step's decode, and an
+    unchecked call here would leave that row empty.  The violation is taken
+    in Python floats, with the IEEE bits of a numpy subtraction but no
+    warning, so the step needs no second guard: an overflow gives ``inf``
+    and :func:`_finite` raises.
     """
     competitor, augmented = loss_augmented_viterbi(model, x, y)
-    return float(augmented - _chain_scores(model, x, y[None])[0]), competitor
+    return _finite(augmented - float(_chain_scores(model, x, y[None])[0])), competitor
 
 
-def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple[float, np.ndarray]:
+def ssvm_loss_and_subgradient(model: ChainModel, x, y) -> tuple:
     """Structured hinge loss with the Hamming target and one subgradient.
 
-    The most violated competitor comes from loss-augmented decoding.  At an
-    exact margin tie (violation 0) the hinge sits on its kink; the zero
-    branch is chosen, so the subgradient is zero there.
+    ``(L, d)`` inputs with ``(L,)`` labels give ``(loss, (D,) subgradient)``.
+    ``(N, L, d)`` inputs with ``(N, L)`` labels give ``(N,)`` losses, each
+    the bits of its row's own call, and the ``(D,)`` subgradient of their
+    mean: one :func:`_feature_delta` over the violated rows, competitors
+    less truths, divided by ``N`` (a batch of one keeps the single bits).
+    The most violated competitors come from one loss-augmented decode.  At
+    an exact margin tie (violation 0) the hinge sits on its kink; the zero
+    branch is chosen, so a tied row adds nothing to the subgradient.
     """
-    x, y = _check_instance(model, x, y)
+    x, y, batched = _check_batch(model, x, y)
+    xs, ys = (x, y) if batched else (x[None], y[None])
     with _OverflowGuard():
-        competitor, augmented = _loss_augmented_viterbi(model, x, y)
-        violation = float(_finite(augmented - _chain_scores(model, x, y[None])[0]))
-        dim = model.n_labels * model.dim + model.n_labels**2
-        if violation <= 0.0:
-            return float(max(violation, 0.0)), np.zeros(dim)
-        return float(violation), _finite(feature_difference(model.n_labels, x, competitor, y).dense())
+        competitors, augmented = _loss_augmented_viterbi(model, xs, ys)
+        losses = _finite(augmented - _chain_scores(model, xs, ys[:, None])[:, 0])
+        violated = losses > 0.0
+        losses[losses < 0.0] = 0.0  # a zero keeps its sign, as ``max(v, 0.0)`` does
+        if violated.any():
+            rows, truths = xs[violated], ys[violated]
+            sequences = np.concatenate((competitors[violated], truths))
+            delta = _feature_delta(
+                model.n_labels, np.concatenate((rows, rows)), sequences, np.ones(len(sequences)), len(truths)
+            )
+            subgradient = _finite(delta.dense() / len(ys))
+        else:
+            subgradient = np.zeros(model.n_labels * model.dim + model.n_labels**2)
+    return (losses, subgradient) if batched else (float(losses[0]), subgradient)

@@ -192,7 +192,8 @@ def joint_feature(n_labels: int, x, y) -> np.ndarray:
         raise DomainError("need (length, dim) inputs and a matching label sequence")
     dim = x.shape[1]
     unary = np.zeros((n_labels, dim))
-    np.add.at(unary, y, x)
+    with _OverflowGuard():
+        np.add.at(unary, y, x)
     transition = np.zeros((n_labels, n_labels))
     if y.size > 1:
         np.add.at(transition, (y[:-1], y[1:]), 1.0)
@@ -247,8 +248,9 @@ def _feature_delta(
     n_labels: int, x: np.ndarray, sequences: np.ndarray, coeffs: np.ndarray, split: int | None = None
 ) -> FeatureDelta:
     """``sum_k coeffs[k] * joint_feature(n_labels, x, sequences[k])`` as a
-    :class:`FeatureDelta`; with ``split``, the rows from ``split`` on are
-    summed apart and their sum subtracted.
+    :class:`FeatureDelta`, for inputs ``x`` shared as ``(L, d)`` or one per
+    sequence as ``(K, L, d)``; with ``split``, the rows from ``split`` on
+    are summed apart and their sum subtracted.
 
     Each unary entry ``label * d + column`` and each transition cell adds
     its terms from 0.0 in row-major ``(k, position)`` order, as
@@ -257,7 +259,7 @@ def _feature_delta(
     ``(Y, Y)`` block up to ``_CELLS_PER_EDGE`` cells per edge and the
     touched cells beyond it.
     """
-    length, dim = x.shape
+    length, dim = x.shape[-2:]
     parts = 1 if split is None else 2
     edges = sequences[:, :-1] * n_labels + sequences[:, 1:]
     if _CELLS_PER_EDGE * edges.size >= n_labels * n_labels:
@@ -290,7 +292,10 @@ def feature_difference(n_labels: int, x, plus, minus) -> FeatureDelta:
     the two dense features bit for bit.
     """
     sequences = np.array([plus, minus], dtype=np.int64)
-    return _feature_delta(n_labels, np.asarray(x, dtype=np.float64), sequences, np.ones(2), split=1)
+    with _OverflowGuard():
+        delta = _feature_delta(n_labels, np.asarray(x, dtype=np.float64), sequences, np.ones(2), split=1)
+    _finite(delta.unary)
+    return delta
 
 
 def enumerate_sequences(n_labels: int, length: int) -> np.ndarray:

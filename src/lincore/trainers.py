@@ -424,20 +424,21 @@ def _mean_objective(objective: str, model: ChainModel, instances, config: TrainC
     # enumerate); the neighbor proposal optimizes its restricted variant,
     # which moves together with the full sum on these scales.  The CRF
     # objective needs ``log Z`` only, so it runs the batched forward pass
-    # alone.  Instances of equal length are evaluated in one batched call,
-    # each row with the bits of its instance alone.
-    if objective == "ssvm":
-        return float(np.mean([ssvm_loss_and_subgradient(model, x, y)[0] for x, y in instances]))
+    # alone; the SSVM objective keeps the hinge losses of one batched
+    # oracle call.  Instances of equal length are evaluated in one batched
+    # call, each row with the bits of its instance alone.
     values = np.empty(len(instances))
     for positions in _length_groups(instances):
         xs, ys = _stack(instances, positions, 0), _stack(instances, positions, 1)
-        if objective == "crf":
+        if objective == "ssvm":
+            values[positions] = ssvm_loss_and_subgradient(model, xs, ys)[0]
+        elif objective == "crf":
             values[positions] = _crf_nll(model, xs, ys)
-            continue
-        try:
-            values[positions] = structured_sum_loss_exact(config.spec, model, xs, ys)
-        except EnumerationLimitError:
-            return float("nan")
+        else:
+            try:
+                values[positions] = structured_sum_loss_exact(config.spec, model, xs, ys)
+            except EnumerationLimitError:
+                return float("nan")
     return float(np.mean(values))
 
 
@@ -584,7 +585,7 @@ def sgd_step(
         violation, competitor = hinge_violation(model, x, y)
         if violation <= 0.0:
             return
-        delta = feature_difference(n_labels, x, competitor, y)
+        delta = _feature_delta(n_labels, x, np.array([competitor, y], dtype=np.int64), np.ones(2), split=1)
     else:
         _, grad_unary, grad_transition = _crf_gradient_blocks(model, x, y)
         grad_unary *= step

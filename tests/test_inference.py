@@ -739,25 +739,64 @@ def test_crf_objective_past_the_scaled_range_runs_the_forward_pass_alone(monkeyp
 
 
 def test_ssvm_evaluation_checks_each_instance_once(monkeypatch):
-    """``ssvm_loss_and_subgradient`` checks its instance and then decodes
-    unchecked; the checked ``loss_augmented_viterbi`` keeps its own check,
-    and the SSVM step's ``hinge_violation`` still goes through it."""
+    """``ssvm_loss_and_subgradient`` checks its instance (through
+    ``structured._check_batch``) and then decodes unchecked; the checked
+    ``loss_augmented_viterbi`` keeps its own check, and the SSVM step's
+    ``hinge_violation`` still goes through it."""
     rng = np.random.default_rng(31)
     model = ChainModel(rng.normal(size=(4, 3)), rng.normal(size=(4, 4)))
     x, y = rng.normal(size=(5, 3)), rng.integers(0, 4, size=5)
     want = ssvm_loss_and_subgradient(model, x, y)
     calls = {"_check_instance": 0, "loss_augmented_viterbi": 0}
-    for name in calls:
-        real = getattr(inference, name)
+    for module, name in [(inference, "_check_instance"), (structured, "_check_instance"),
+                         (inference, "loss_augmented_viterbi")]:
+        real = getattr(module, name)
 
         def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(inference, name, counted)
+        monkeypatch.setattr(module, name, counted)
     got = ssvm_loss_and_subgradient(model, x, y)
     assert calls == {"_check_instance": 1, "loss_augmented_viterbi": 0}
     _same_bits(got[0], want[0])
     _same_bits(got[1], want[1])
     inference.hinge_violation(model, x, y)
     assert calls == {"_check_instance": 2, "loss_augmented_viterbi": 1}
+
+
+def _ssvm_batch(rng, n, length, count=8):
+    """``count`` rows of one length: the even rows take the decode of a
+    model scaled up 20 times as their labels, so most sit past the margin
+    (loss 0); the odd rows draw theirs at random, so most are violated."""
+    model = ChainModel(20.0 * rng.normal(size=(n, 3)), 20.0 * rng.normal(size=(n, n)))
+    xs = rng.normal(size=(count, length, 3))
+    ys = rng.integers(0, n, size=(count, length))
+    ys[::2] = [viterbi(model, x)[0] for x in xs[::2]]
+    return model, xs, ys
+
+
+@pytest.mark.parametrize("n", [3, 60, 400])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_batched_ssvm_rows_keep_their_single_call_bits(n, length):
+    """One batched oracle call gives each row the loss of its own call, bit
+    for bit; a batch of one gives the single call's subgradient bit for
+    bit; and the batch subgradient is the mean of the single ones."""
+    rng = np.random.default_rng(1000 * n + length)
+    model, xs, ys = _ssvm_batch(rng, n, length)
+    losses, subgradient = ssvm_loss_and_subgradient(model, xs, ys)
+    singles = [ssvm_loss_and_subgradient(model, x, y) for x, y in zip(xs, ys)]
+    assert losses.shape == (len(xs),)
+    for got, (want, _) in zip(losses, singles):
+        _same_bits(got, np.float64(want))
+    assert 0 < np.count_nonzero(losses) < len(losses)
+    for x, y, (want_loss, want_grad) in zip(xs, ys, singles):
+        loss, grad = ssvm_loss_and_subgradient(model, x[None], y[None])
+        _same_bits(loss, np.array([want_loss]))
+        _same_bits(grad, want_grad)
+    # The batch adds up competitors and truths before it subtracts, where
+    # the mean of the singles subtracts row by row.  Entries are sums of
+    # at most 8 * 6 unit-scale inputs, so the reordering moves each by a
+    # few ulps of about 50: 1e-12 holds with room (4.4e-16 is seen here).
+    mean = np.mean([grad for _, grad in singles], axis=0)
+    np.testing.assert_allclose(subgradient, mean, rtol=0, atol=1e-12)

@@ -36,8 +36,9 @@ from lincore import (
     structured_sum_loss_gradient_exact,
     viterbi,
 )
+from lincore.inference import hinge_violation
 from lincore.losses import _MAX_TAU, _MIN_TAU
-from lincore.structured import all_sequence_scores
+from lincore.structured import all_sequence_scores, feature_difference, joint_feature
 
 SPEC = LinearCoreSpec(BaseLoss.logistic())
 
@@ -61,8 +62,17 @@ CHAIN_FUNCTIONS = {
     "forward_backward": lambda m, x, y: forward_backward(m, x),
     "crf_nll_and_gradient": lambda m, x, y: crf_nll_and_gradient(m, x, y),
     "ssvm_loss_and_subgradient": lambda m, x, y: ssvm_loss_and_subgradient(m, x, y),
+    "ssvm_loss_and_subgradient_batch": lambda m, x, y: ssvm_loss_and_subgradient(
+        m, np.stack([x, x[::-1]]), np.stack([y, y[::-1]])
+    ),
     "structured_sum_loss_exact": lambda m, x, y: structured_sum_loss_exact(SPEC, m, x, y),
     "structured_sum_loss_gradient_exact": lambda m, x, y: structured_sum_loss_gradient_exact(SPEC, m, x, y),
+}
+
+# The feature builders read the labels and the inputs, not the model.
+FEATURE_BUILDERS = {
+    "joint_feature": lambda m, x, y: joint_feature(m.n_labels, x, y),
+    "feature_difference": lambda m, x, y: feature_difference(m.n_labels, x, y, (y + 1) % m.n_labels).dense(),
 }
 
 
@@ -78,6 +88,26 @@ def test_chain_overflow_raises_evaluation_overflow_error(name, instance):
         warnings.simplefilter("error")
         with pytest.raises(EvaluationOverflowError):
             CHAIN_FUNCTIONS[name](*instance)
+
+
+@pytest.mark.parametrize("name", sorted(FEATURE_BUILDERS))
+def test_feature_builder_overflow_raises_evaluation_overflow_error(name):
+    """Two inputs of 1e308 on one label: ``joint_feature`` warned "overflow
+    encountered in at", and ``feature_difference`` returned ``inf``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflowError):
+            FEATURE_BUILDERS[name](ChainModel.zeros(3, 1), np.array([[1e308], [1e308]]), np.array([0, 0]))
+
+
+def test_hinge_violation_overflow_raises_evaluation_overflow_error():
+    """The SSVM step's kernel subtracted the truth's score outside the
+    guard and warned "overflow encountered in scalar subtract"."""
+    model = ChainModel([[1e308], [-1e308]], np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflowError):
+            hinge_violation(model, np.array([[1.0]]), np.array([1]))
 
 
 def _assert_finite(result):
@@ -156,15 +186,16 @@ def _chain_call(data):
     model = ChainModel(_array(data, (n, dim)), _array(data, (n, n)))
     x = _array(data, (length, dim))
     y = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length)))
-    function = CHAIN_FUNCTIONS[data.draw(st.sampled_from(sorted(CHAIN_FUNCTIONS)))]
+    functions = CHAIN_FUNCTIONS | FEATURE_BUILDERS
+    function = functions[data.draw(st.sampled_from(sorted(functions)))]
     return lambda: function(model, x, y)
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_finite_inputs_give_finite_results_or_a_lincore_error(data):
-    """The public numeric functions of the loss, multiclass and chain layers,
-    fed ±1e308, subnormals, ±0.0, huge score gaps, ``tau`` up to its cap
+    """The public numeric functions of the loss, multiclass and chain layers
+    and the feature builders, fed ±1e308, subnormals, ±0.0, huge score gaps, ``tau`` up to its cap
     and chain weights and inputs whose products overflow."""
     layer = data.draw(st.sampled_from([_loss_call, _multiclass_call, _chain_call]))
     _assert_rule(layer(data))

@@ -243,15 +243,28 @@ def test_a_traced_run_gives_every_library_reached_row_a_value():
     no value, and some traced functions have only library callers: the
     SSVM step decodes through ``loss_augmented_viterbi``, and evaluation
     calls ``ssvm_loss_and_subgradient`` and ``structured_sum_loss_exact``.
-    One tiny ``sgd_train`` per objective, with evaluation on, fills them."""
+    One tiny ``sgd_train`` per objective, with evaluation on, fills them.
+    The SSVM evaluation reaches ``ssvm_loss_and_subgradient`` once per
+    length group per record, and every ``loss_augmented_viterbi`` span
+    belongs to an SSVM step."""
     tracing, objectives = _load_tracing(), ("lincore", "lincore_ksample", "ssvm", "crf")
     data = lincore.generate_hmm_split(lincore.HmmSpec(length=4, n_labels=3, dim=5, n_sequences=6), 2)
+    short = lincore.generate_hmm_split(lincore.HmmSpec(length=2, n_labels=3, dim=5, n_sequences=2, seed=1), 0)
+    data = lincore.SequenceData(train=data.train[:3] + short.train, test=data.test, n_labels=3)
     untraced = lincore.sgd_train, lincore.inference.loss_augmented_viterbi
     with tracing.Tracer() as tracer:
         for objective in objectives:
-            config = TrainConfig(objective=objective, iterations=2, eval_interval=1, eval_max_instances=3)
+            config = TrainConfig(objective=objective, iterations=2, eval_interval=1, eval_max_instances=5)
             lincore.sgd_train(data, config)
     assert (lincore.sgd_train, lincore.inference.loss_augmented_viterbi) == untraced
+    records, length_groups, ssvm_steps = 3, 2, 2
+    names, tags = np.array(tracer.name), tracer.tag
+    assert np.count_nonzero(names == "inference.ssvm_loss_and_subgradient") == records * length_groups
+    decodes = np.flatnonzero(names == "inference.loss_augmented_viterbi")
+    assert len(decodes) == ssvm_steps
+    for span in decodes:
+        parent = tracer.parent[span]
+        assert (names[parent], tags[parent]) == ("trainers.sgd_step", "ssvm.Y3")
     metrics = tracing.layer_metrics(tracer)
     rows = [
         "inference.loss_augmented_viterbi.us_per_call",

@@ -23,6 +23,7 @@ from lincore import (
     mc_conditional_regrets,
     model_weights,
     sequence_score,
+    ssvm_loss_and_subgradient,
     structured_conditional_regrets,
     structured_sum_loss_exact,
     structured_sum_loss_gradient_exact,
@@ -603,6 +604,7 @@ def test_one_label_rule_at_every_entry_point(case, seed):
             lambda k=k: all_sequence_scores(model, x[k], y),
             lambda k=k: joint_feature(N_LABELS, x[k], y[k]),
         ]
+    calls.append(lambda: ssvm_loss_and_subgradient(model, x, y))
     outcomes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -616,7 +618,7 @@ def test_one_label_rule_at_every_entry_point(case, seed):
         assert all(outcome is None for outcome in outcomes)
         return
     assert all(outcome is not None for outcome in outcomes)
-    singles = np.array(outcomes[1::4])
+    singles = np.array(outcomes[1:-1:4])
     assert outcomes[0].tobytes() == singles.tobytes()
 
 

@@ -893,21 +893,54 @@ def test_stacked_unary_rows_keep_their_single_instance_bits(n):
         assert row.tobytes() == inference._unary_table(model, x).tobytes()
 
 
-@pytest.mark.parametrize("objective", ["lincore", "crf"])
-def test_batched_evaluation_matches_single_calls(objective):
-    """The recorded objective is the mean of per-instance exact sum losses,
-    or of per-instance CRF negative log-likelihoods."""
+def _mixed_length_instances():
+    """Ten instances of length 3 and five of length 2, interleaved."""
     data = tiny_data(seed=4, n_train=10, n_test=0, length=3, n_labels=3, dim=2)
     short = [(x[:2], y[:2]) for x, y in tiny_data(seed=5, n_train=5, n_test=0, n_labels=3, dim=2).train]
-    instances = [(np.asarray(x), np.asarray(y)) for x, y in [*data.train[:4], *short, *data.train[4:]]]
+    return [(np.asarray(x), np.asarray(y)) for x, y in [*data.train[:4], *short, *data.train[4:]]]
+
+
+@pytest.mark.parametrize("objective", ["lincore", "crf", "ssvm"])
+def test_batched_evaluation_matches_single_calls(objective):
+    """The recorded objective is the mean of per-instance exact sum losses,
+    of per-instance CRF negative log-likelihoods or of per-instance hinge
+    losses."""
+    instances = _mixed_length_instances()
     rng = np.random.default_rng(6)
     model = ChainModel(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
     config = TrainConfig(objective=objective)
     if objective == "crf":
         want = float(np.mean([crf_nll_and_gradient(model, x, y)[0] for x, y in instances]))
+    elif objective == "ssvm":
+        # A trained model puts some rows past the margin, at loss 0.
+        data = SequenceData(train=instances, n_labels=3)
+        model = sgd_train(data, TrainConfig(objective="ssvm", eta=0.1)).model
+        losses = [ssvm_loss_and_subgradient(model, x, y)[0] for x, y in instances]
+        assert 0.0 in losses and max(losses) > 0.0
+        want = float(np.mean(losses))
     else:
         want = float(np.mean([structured_sum_loss_exact(config.spec, model, x, y) for x, y in instances]))
     assert trainers._mean_objective(objective, model, instances, config) == want
+
+
+def test_an_ssvm_record_makes_one_oracle_call_per_length_group(monkeypatch):
+    """One evaluation of the ``ssvm`` objective calls the public oracle
+    once per length group, which checks its stacked rows once, where it
+    used to make one call, and one check, per instance."""
+    instances = _mixed_length_instances()
+    data = SequenceData(train=instances, n_labels=3)
+    calls = {"ssvm_loss_and_subgradient": 0, "_check_instance": 0}
+    for module, name in [(trainers, "ssvm_loss_and_subgradient"), (structured, "_check_instance")]:
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    config = TrainConfig(objective="ssvm", iterations=0, eval_interval=1, eval_max_instances=len(instances))
+    assert len(sgd_train(data, config).history) == 1
+    assert calls == {"ssvm_loss_and_subgradient": 2, "_check_instance": 2}
 
 
 # Reference copies of the pair-step pieces as they were written with
